@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the program importable for these tests.
+
+    python3 -m pytest -q bench/tests
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT / "bench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
