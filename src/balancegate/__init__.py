@@ -38,20 +38,15 @@ from .lfsr import (
     generate_output,
     iter_output_chunks,
     lfsr_step,
-    monobit_statistic,
     state_cycle,
     verify_maximum_length,
 )
 from .minterms import (
     MintermSum,
     accumulate,
-    common_development,
-    common_minterm,
     exact_ones_multi,
-    exact_ones_single,
     expand_minterm,
     minterm_expansion,
-    minterm_masks,
     superset_masks,
 )
 from .specfile import GeneratorSpec, RegisterSpec, load_spec, parse_spec
@@ -86,18 +81,13 @@ __all__ = [
     "generate_output",
     "iter_output_chunks",
     "lfsr_step",
-    "monobit_statistic",
     "state_cycle",
     "verify_maximum_length",
     "MintermSum",
     "accumulate",
-    "common_development",
-    "common_minterm",
     "exact_ones_multi",
-    "exact_ones_single",
     "expand_minterm",
     "minterm_expansion",
-    "minterm_masks",
     "superset_masks",
     "GeneratorSpec",
     "RegisterSpec",

@@ -9,15 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .anf import AnfFunction, Register, RegisterLayout
+from .anf import AnfFunction, RegisterLayout
 from .errors import ValidationError
-from .minterms import (
-    DEFAULT_MAX_SUM_ENTRIES,
-    MintermSum,
-    accumulate,
-    exact_ones_multi,
-    minterm_masks,
-)
+from .minterms import DEFAULT_MAX_SUM_ENTRIES, MintermSum, accumulate, exact_ones_multi
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -28,6 +22,7 @@ __all__ = [
     "magnitude_label",
     "check_isolated_linear_term",
     "heuristic_findings",
+    "findings",
     "analyze",
 ]
 
@@ -147,13 +142,6 @@ def magnitude_label(ones: int, period: int) -> str:
     return "irregular"
 
 
-def _register_of(layout: RegisterLayout, bit: int) -> Register:
-    for reg in layout.registers:
-        if reg.offset <= bit < reg.offset + reg.length:
-            return reg
-    raise ValidationError(f"bit {bit} outside layout")
-
-
 def check_isolated_linear_term(f: AnfFunction) -> RuleFinding | None:
     """Detect a standalone linear monomial whose variable appears nowhere else.
 
@@ -180,7 +168,7 @@ def check_isolated_linear_term(f: AnfFunction) -> RuleFinding | None:
                 ),
                 evidence=(name,),
             )
-        reg = _register_of(f.layout, term.bit_length() - 1)
+        reg = f.layout.register_of(term.bit_length() - 1)
         return RuleFinding(
             rule_id=RULE_ISOLATED_LINEAR_TERM,
             severity=SEVERITY_WARNING,
@@ -203,7 +191,7 @@ def heuristic_findings(f: AnfFunction) -> list[RuleFinding]:
         return findings
 
     singles = sorted(t for t in f.terms if t.bit_count() == 1)
-    covered = {_register_of(layout, t.bit_length() - 1).name for t in singles}
+    covered = {layout.register_of(t.bit_length() - 1).name for t in singles}
     has_products = any(t.bit_count() >= 2 for t in f.terms)
     if has_products and covered == {reg.name for reg in layout.registers}:
         names = tuple(layout.variable_name(t.bit_length() - 1) for t in singles)
@@ -244,6 +232,12 @@ def heuristic_findings(f: AnfFunction) -> list[RuleFinding]:
     return findings
 
 
+def findings(f: AnfFunction) -> list[RuleFinding]:
+    """Every structural finding: the isolated-term rule, then the heuristics."""
+    isolated = check_isolated_linear_term(f)
+    return ([isolated] if isolated else []) + heuristic_findings(f)
+
+
 def analyze(
     f: AnfFunction,
     policy: VerdictPolicy | None = None,
@@ -260,29 +254,20 @@ def analyze(
     layout = f.layout
     period = layout.period()
     final_sum = accumulate(
-        minterm_masks(f), layout.total_length, max_entries=max_sum_entries
+        sorted(f.terms), layout.total_length, max_entries=max_sum_entries
     )
     ones = exact_ones_multi(final_sum, layout)
-    zeros = period - ones
-    deviation = Fraction(abs(2 * ones - period), 2 * period)
-
-    findings: list[RuleFinding] = []
-    isolated = check_isolated_linear_term(f)
-    if isolated is not None:
-        findings.append(isolated)
-    findings.extend(heuristic_findings(f))
-
     return AnalysisReport(
         layout=layout,
         function_text=f.to_text(),
         period=period,
         ones=ones,
-        zeros=zeros,
+        zeros=period - ones,
         expected_ones=(period + 1) // 2,
-        deviation=deviation,
+        deviation=Fraction(abs(2 * ones - period), 2 * period),
         tolerance=policy.relative_tolerance,
-        verdict="accept" if deviation <= policy.relative_tolerance else "reject",
+        verdict=verdict(ones, period, policy),
         magnitude_label=magnitude_label(ones, period),
-        findings=tuple(findings),
+        findings=tuple(findings(f)),
         final_sum=final_sum,
     )

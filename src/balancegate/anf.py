@@ -113,11 +113,16 @@ class RegisterLayout:
             t *= (1 << reg.length) - 1
         return t
 
-    def variable_name(self, bit: int) -> str:
+    def register_of(self, bit: int) -> Register:
+        """The register owning a global bit position."""
         for reg in self.registers:
             if reg.offset <= bit < reg.offset + reg.length:
-                return f"{reg.name}{bit - reg.offset}"
+                return reg
         raise ValidationError(f"bit {bit} outside layout")
+
+    def variable_name(self, bit: int) -> str:
+        reg = self.register_of(bit)
+        return f"{reg.name}{bit - reg.offset}"
 
     def segment_value(self, mask: int, reg: Register) -> int:
         return (mask >> reg.offset) & ((1 << reg.length) - 1)

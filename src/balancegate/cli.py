@@ -16,12 +16,12 @@ import numpy as np
 
 from . import __version__
 from .analyzer import (
+    RULE_ISOLATED_LINEAR_TERM,
     SEVERITY_GUARANTEE,
     AnalysisReport,
     VerdictPolicy,
     analyze,
-    check_isolated_linear_term,
-    heuristic_findings,
+    findings,
 )
 from .errors import (
     BalanceGateError,
@@ -34,24 +34,13 @@ from .lfsr import (
     DEFAULT_SIMULATION_BUDGET,
     count_ones_simulated,
     count_ones_truthtable,
-    generate_output,
     iter_output_chunks,
-    verify_maximum_length,
+    require_maximum_length,
 )
-from .minterms import (
-    DEFAULT_MAX_SUM_ENTRIES,
-    accumulate,
-    exact_ones_multi,
-    minterm_expansion,
-    minterm_masks,
-)
+from .minterms import DEFAULT_MAX_SUM_ENTRIES, minterm_expansion
 from .specfile import GeneratorSpec, load_spec
 
 ENV_MAX_PERIOD = "BALANCEGATE_MAX_PERIOD"
-
-# below this many steps the plain per-step path is cheaper than
-# materializing register cycles
-_STEPWISE_CUTOFF = 4096
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,10 +105,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_sum_cap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-h-entries",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_SUM_ENTRIES,
         metavar="N",
         help="cap on tracked signed-sum entries (default %(default)s)",
@@ -165,20 +164,6 @@ def _resolve_policy(args, spec: GeneratorSpec) -> VerdictPolicy:
     if spec.tolerance is not None:
         return VerdictPolicy(spec.tolerance)
     return VerdictPolicy()
-
-
-def _check_polynomials(g) -> None:
-    for cfg, reg in zip(g.lfsrs, g.layout.registers):
-        try:
-            ok = verify_maximum_length(cfg)
-        except UnverifiedPolynomialError as exc:
-            raise ValidationError(
-                f"register {reg.name}: {exc}; pass --trust-poly to proceed"
-            ) from exc
-        if not ok:
-            raise ValidationError(
-                f"register {reg.name}: connection polynomial is not maximum-length"
-            )
 
 
 class _DumpWriter:
@@ -255,7 +240,7 @@ def _cmd_simulate(args) -> int:
     budget = _resolve_budget()
     if args.full_period:
         if not args.trust_poly:
-            _check_polynomials(g)
+            require_maximum_length(g)
         steps = g.layout.period()
     else:
         if args.steps < 0:
@@ -269,16 +254,10 @@ def _cmd_simulate(args) -> int:
 
     writer = _DumpWriter(sys.stdout) if args.dump else None
     total = 0
-    if steps <= _STEPWISE_CUTOFF:
-        bits = np.array(generate_output(g, steps), dtype=np.uint8)
-        total = int(bits.sum())
-        if writer and steps:
-            writer.feed(bits)
-    else:
-        for chunk in iter_output_chunks(g, steps):
-            total += int(chunk.sum())
-            if writer:
-                writer.feed(chunk)
+    for chunk in iter_output_chunks(g, steps):
+        total += int(chunk.sum())
+        if writer:
+            writer.feed(chunk)
     if writer:
         writer.close()
     print(f"steps: {steps}")
@@ -289,13 +268,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     f = spec.function()
-    layout = f.layout
-    period = layout.period()
+    period = f.layout.period()
 
-    final_sum = accumulate(
-        minterm_masks(f), layout.total_length, max_entries=args.max_h_entries
-    )
-    symbolic = exact_ones_multi(final_sum, layout)
+    symbolic = analyze(f, max_sum_entries=args.max_h_entries).ones
     print(f"symbolic:    {symbolic}")
 
     results = [symbolic]
@@ -315,10 +290,8 @@ def _cmd_verify(args) -> int:
         )
     else:
         g = spec.instance(notice=_notice)
-        if not args.trust_poly:
-            _check_polynomials(g)
         simulated = count_ones_simulated(
-            g, max_steps=budget, verify_polynomials=False
+            g, max_steps=budget, verify_polynomials=not args.trust_poly
         )
         results.append(simulated)
         print(f"simulated:   {simulated}")
@@ -340,16 +313,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check_rules(args) -> int:
     spec = load_spec(args.spec)
-    f = spec.function()
-    findings = []
-    isolated = check_isolated_linear_term(f)
-    if isolated is not None and isolated.severity == SEVERITY_GUARANTEE:
-        findings.append(isolated)
-    findings.extend(heuristic_findings(f))
-    if not findings:
+    # the multi-register isolated-term note is a hint, not a design rule
+    shown = [
+        x
+        for x in findings(spec.function())
+        if x.rule_id != RULE_ISOLATED_LINEAR_TERM or x.severity == SEVERITY_GUARANTEE
+    ]
+    if not shown:
         print("no findings")
         return 0
-    for finding in findings:
+    for finding in shown:
         evidence = ", ".join(finding.evidence)
         print(f"[{finding.severity}] {finding.rule_id} ({evidence}): {finding.message}")
     return 0
@@ -360,6 +333,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except UnverifiedPolynomialError as exc:
+        print(f"error: {exc}; pass --trust-poly to proceed", file=sys.stderr)
+        return exc.exit_code
     except BalanceGateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -10,8 +10,7 @@ P(x) taps stage L-e (the constant term is the shift itself, not a tap).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -36,14 +35,14 @@ __all__ = [
     "count_ones_simulated",
     "count_ones_truthtable",
     "verify_maximum_length",
-    "monobit_statistic",
+    "require_maximum_length",
 ]
 
 DEFAULT_SIMULATION_BUDGET = 1 << 31
 DEFAULT_VERIFICATION_BOUND = 24
 DEFAULT_TRUTHTABLE_BITS = 20
 
-# Vectorized counting materializes one full state cycle per register.
+# Vectorized output materializes the walked states of each register.
 _VECTOR_CYCLE_CAP = 1 << 24
 _CHUNK = 1 << 20
 
@@ -158,6 +157,16 @@ def lfsr_step(state: int, config: LfsrConfig) -> tuple[int, int]:
     return output, (state >> 1) | (feedback << (config.length - 1))
 
 
+def _walk(config: LfsrConfig, steps: int) -> tuple[list[int], int]:
+    """The first `steps` states from the seed, and the state after them."""
+    states = []
+    s = config.initial_state
+    for _ in range(steps):
+        states.append(s)
+        _, s = lfsr_step(s, config)
+    return states, s
+
+
 def state_cycle(config: LfsrConfig) -> list[int]:
     """States visited over one nominal period, starting at the seed.
 
@@ -166,11 +175,7 @@ def state_cycle(config: LfsrConfig) -> list[int]:
     nominal period is rejected here.
     """
     period = (1 << config.length) - 1
-    states = []
-    s = config.initial_state
-    for _ in range(period):
-        states.append(s)
-        _, s = lfsr_step(s, config)
+    states, s = _walk(config, period)
     if s != config.initial_state:
         raise ValidationError(
             "state walk does not return to the seed after"
@@ -205,36 +210,61 @@ def generate_output(g: GeneratorInstance, steps: int) -> list[int]:
 def iter_output_chunks(
     g: GeneratorInstance, steps: int, *, chunk: int = _CHUNK
 ) -> Iterator[np.ndarray]:
-    """Output bits as uint8 arrays, built from the stepped per-register cycles.
+    """Output bits as uint8 arrays, built from the stepped per-register walks.
 
-    Register I repeats its own state cycle every 2**L_I - 1 steps, so the
-    joint state at step t is a pure reindexing of the per-register walks; the
-    combination is vectorized while each walk itself comes from lfsr_step.
+    Each register the function reads walks min(steps, 2**L - 1) states with
+    lfsr_step; a run longer than its period repeats its state_cycle, whose
+    seed-return check rejects a polynomial that does not sustain the period.
+    The joint state at step t is then a pure reindexing of the walks, packed
+    from only the stages the function reads, so the function may read at most
+    62 of them; the combination is vectorized.
     """
     if steps < 0:
         raise ValidationError("steps must be non-negative")
-    if g.layout.total_length > 62:
+    support = 0
+    for t in g.function.terms:
+        support |= t
+    # packed bit k of a joint state holds global stage read[k]
+    read = [b for b in range(g.layout.total_length) if support >> b & 1]
+    if len(read) > 62:
         raise ResourceLimitError(
-            "layout too wide to pack joint states for vectorized output"
+            f"function reads {len(read)} stages, too many to pack joint states"
+            " for vectorized output"
         )
-    cycles = []
+    walks = []
     for cfg, reg in zip(g.lfsrs, g.layout.registers):
+        stages = [
+            (k, b - reg.offset)
+            for k, b in enumerate(read)
+            if reg.offset <= b < reg.offset + reg.length
+        ]
+        if not stages:
+            continue
         period = (1 << cfg.length) - 1
-        if period > _VECTOR_CYCLE_CAP:
+        count = min(steps, period)
+        if count > _VECTOR_CYCLE_CAP:
             raise ResourceLimitError(
-                f"register {reg.name}: period {period} too large to materialize"
-                " a state cycle"
+                f"register {reg.name}: {count} states too many to materialize"
+                " for vectorized output"
             )
-        cycles.append(np.array(state_cycle(cfg), dtype=np.int64))
-    offsets = [reg.offset for reg in g.layout.registers]
-    terms = sorted(g.function.terms)
+        states = state_cycle(cfg) if steps > period else _walk(cfg, count)[0]
+        # a state of more than 62 stages does not fit int64: project it first
+        raw = np.array(states, dtype=np.int64 if cfg.length <= 62 else object)
+        walk = np.zeros(len(states), dtype=np.int64)
+        for k, i in stages:
+            walk |= ((raw >> i) & 1).astype(np.int64) << k
+        walks.append(walk)
+    terms = [
+        sum(1 << i for i, b in enumerate(read) if t >> b & 1)
+        for t in sorted(g.function.terms)
+    ]
     start = 0
     while start < steps:
         n = min(chunk, steps - start)
         idx = np.arange(start, start + n, dtype=np.int64)
         joint = np.zeros(n, dtype=np.int64)
-        for cycle, offset in zip(cycles, offsets):
-            joint |= cycle[idx % len(cycle)] << offset
+        for walk in walks:
+            joint |= walk[idx % len(walk)]
         out = np.zeros(n, dtype=bool)
         for t in terms:
             out ^= (joint & t) == t
@@ -269,12 +299,7 @@ def count_ones_simulated(
             f"full period {period} exceeds the simulation budget {budget}"
         )
     if verify_polynomials:
-        for cfg, reg in zip(g.lfsrs, g.layout.registers):
-            if not verify_maximum_length(cfg, bound=verification_bound):
-                raise ValidationError(
-                    f"register {reg.name}: connection polynomial is not"
-                    " maximum-length"
-                )
+        require_maximum_length(g, verification_bound)
     total = 0
     for bits in iter_output_chunks(g, period, chunk=chunk):
         total += int(bits.sum())
@@ -329,18 +354,24 @@ def verify_maximum_length(
     return _is_primitive(config.polynomial_as_int, config.length)
 
 
-def monobit_statistic(bits: Iterable[int]) -> tuple[int, Fraction]:
-    """Ones count and exact ones proportion of a bit sequence."""
-    ones = 0
-    total = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValidationError(f"sequence holds non-bit value {b!r}")
-        ones += b
-        total += 1
-    if total == 0:
-        raise ValidationError("empty sequence has no monobit statistic")
-    return ones, Fraction(ones, total)
+def require_maximum_length(
+    g: GeneratorInstance, bound: int = DEFAULT_VERIFICATION_BOUND
+) -> None:
+    """Raise unless every register's polynomial verifies as maximum-length.
+
+    Raises:
+        ValidationError: a polynomial is not maximum-length.
+        UnverifiedPolynomialError: a degree is above `bound`.
+    """
+    for cfg, reg in zip(g.lfsrs, g.layout.registers):
+        try:
+            ok = verify_maximum_length(cfg, bound=bound)
+        except UnverifiedPolynomialError as exc:
+            raise UnverifiedPolynomialError(f"register {reg.name}: {exc}") from None
+        if not ok:
+            raise ValidationError(
+                f"register {reg.name}: connection polynomial is not maximum-length"
+            )
 
 
 # -- GF(2) polynomial arithmetic on integer masks ----------------------------

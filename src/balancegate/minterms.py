@@ -18,11 +18,7 @@ __all__ = [
     "DEFAULT_MAX_SUM_ENTRIES",
     "DEFAULT_MAX_EXPANSION_TERMS",
     "MintermSum",
-    "minterm_masks",
-    "common_minterm",
-    "common_development",
     "accumulate",
-    "exact_ones_single",
     "exact_ones_multi",
     "superset_masks",
     "expand_minterm",
@@ -93,38 +89,6 @@ class MintermSum:
         return f"MintermSum({self.width}, {{{body}}})"
 
 
-def minterm_masks(f: AnfFunction) -> list[int]:
-    """Mask of the minterm paired with each monomial: the identical bit pattern.
-
-    The pairing swaps monomial and minterm per index and is self-inverse, so
-    at mask level this is the (deterministically ordered) term set itself.
-    """
-    return sorted(f.terms)
-
-
-def common_minterm(a: int, b: int) -> int:
-    """Mask of the minterm whose expansion is exactly the monomials shared by
-    the expansions of the two inputs: the bitwise union."""
-    if a < 0 or b < 0:
-        raise ValidationError("masks must be non-negative")
-    return a | b
-
-
-def common_development(h: MintermSum, mask: int) -> MintermSum:
-    """Signed sum of the common minterms of one mask with every entry of h.
-
-    Coefficients carry over to the merged masks and collapse when different
-    entries land on the same union.
-    """
-    if not 0 <= mask < (1 << h.width):
-        raise ValidationError(f"mask {mask} wider than {h.width} bits")
-    merged: dict[int, int] = {}
-    for m, coeff in h.items():
-        union = m | mask
-        merged[union] = merged.get(union, 0) + coeff
-    return MintermSum(h.width, merged)
-
-
 def accumulate(
     masks: Iterable[int],
     width: int,
@@ -134,9 +98,10 @@ def accumulate(
     """Fold minterm masks into the signed sum describing their XOR combination.
 
     Each step adds the new mask with coefficient +1 and subtracts twice the
-    common development with the sum built so far, which is exactly the pairwise
-    cancellation of the underlying expansions.  The result is independent of
-    the input order.
+    common development with the sum built so far (every entry carried onto its
+    union with the new mask, whose expansion is the overlap of the two), which
+    is exactly the pairwise cancellation of the underlying expansions.  The
+    result is independent of the input order.
 
     Raises:
         ResourceLimitError: if the tracked entry count ever exceeds max_entries.
@@ -166,30 +131,8 @@ def accumulate(
     return MintermSum(width, entries)
 
 
-def exact_ones_single(h: MintermSum, length: int) -> int:
-    """Ones count per period of a single-register generator from its final sum.
-
-    Every mask contributes its coefficient times 2**(length - weight), the
-    size of its expansion.  The result is range-checked against the period;
-    a violation means an engine bug, never bad input.
-    """
-    if h.width != length:
-        raise ValidationError(f"sum width {h.width} does not match length {length}")
-    total = 0
-    for mask, coeff in h.items():
-        if mask == 0:
-            raise InternalCheckError("zero mask in a final signed sum")
-        total += coeff << (length - mask.bit_count())
-    period = (1 << length) - 1
-    if not 0 <= total <= period:
-        raise InternalCheckError(
-            f"ones count {total} outside [0, {period}]; signed sum is inconsistent"
-        )
-    return total
-
-
 def exact_ones_multi(h: MintermSum, layout: RegisterLayout) -> int:
-    """Ones count per joint period for a multi-register generator.
+    """Ones count per joint period, for one register or several.
 
     Register segments with weight d >= 1 contribute a factor 2**(len - d);
     an all-zero segment means the register contributes no variable of its
@@ -273,7 +216,7 @@ def minterm_expansion(
     """
     length = f.layout.total_length
     acc: set[int] = set()
-    for mask in minterm_masks(f):
+    for mask in sorted(f.terms):
         acc ^= superset_masks(mask, length, max_terms=max_terms)
         if len(acc) > max_terms:
             raise ResourceLimitError(

@@ -25,7 +25,7 @@ from typing import Callable
 
 from .anf import AnfFunction, RegisterLayout, parse_function
 from .errors import ValidationError
-from .lfsr import PRIMITIVE_POLYNOMIALS, GeneratorInstance, LfsrConfig
+from .lfsr import GeneratorInstance, LfsrConfig
 
 __all__ = ["RegisterSpec", "GeneratorSpec", "load_spec", "parse_spec"]
 
@@ -64,25 +64,25 @@ class GeneratorSpec:
         configs = []
         for reg in self.registers:
             if reg.polynomial is not None:
-                exponents = frozenset(reg.polynomial)
+                cfg = LfsrConfig(
+                    reg.length, frozenset(reg.polynomial), reg.initial_state
+                )
             else:
-                if reg.length not in PRIMITIVE_POLYNOMIALS:
-                    raise ValidationError(
-                        f"register {reg.name}: no built-in maximum-length"
-                        f" polynomial for length {reg.length}; specify one"
-                    )
-                exponents = frozenset(PRIMITIVE_POLYNOMIALS[reg.length][0])
+                try:
+                    cfg = LfsrConfig.standard(reg.length, reg.initial_state)
+                except ValidationError as exc:
+                    raise ValidationError(f"register {reg.name}: {exc}") from None
                 if notice is not None:
                     degrees = "+".join(
                         f"x^{e}" if e else "1"
-                        for e in sorted(exponents, reverse=True)
+                        for e in sorted(cfg.polynomial, reverse=True)
                     )
                     notice(
                         f"register {reg.name}: using built-in polynomial {degrees}"
                     )
             if reg.initial_state is None and notice is not None:
                 notice(f"register {reg.name}: using all-ones initial state")
-            configs.append(LfsrConfig(reg.length, exponents, reg.initial_state))
+            configs.append(cfg)
         return GeneratorInstance(layout, tuple(configs), self.function())
 
 
@@ -91,7 +91,8 @@ def load_spec(path: str) -> GeneratorSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError covers malformed JSON and text that is not UTF-8
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     return parse_spec(data)
 
@@ -146,14 +147,6 @@ def _parse_register(entry, index: int) -> RegisterSpec:
             raise ValidationError(f'{where}: "polynomial" must be a list of integers')
         if len(set(raw)) != len(raw):
             raise ValidationError(f'{where}: "polynomial" has repeated exponents')
-        if any(not 0 <= e <= length for e in raw):
-            raise ValidationError(
-                f'{where}: "polynomial" exponents must lie in [0, {length}]'
-            )
-        if 0 not in raw or length not in raw:
-            raise ValidationError(
-                f'{where}: "polynomial" needs both exponent {length} and 0'
-            )
         polynomial = tuple(sorted(raw, reverse=True))
 
     initial_state = None
@@ -165,9 +158,13 @@ def _parse_register(entry, index: int) -> RegisterSpec:
                 " of 0s and 1s (stage 0 first)"
             )
         initial_state = sum(1 << i for i, ch in enumerate(raw) if ch == "1")
-        if initial_state == 0:
-            raise ValidationError(f'{where}: "initial_state" must not be all zeros')
 
+    # x^L + 1 stands in for an unpinned polynomial: it only has to be well formed
+    exponents = (length, 0) if polynomial is None else polynomial
+    try:
+        LfsrConfig(length, frozenset(exponents), initial_state)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
     return RegisterSpec(name, length, polynomial, initial_state)
 
 

@@ -1,10 +1,20 @@
 """End-to-end command behavior: output text, exit codes, environment knobs."""
 
 import json
+import random
 
 import pytest
 
+from balancegate import (
+    AnfFunction,
+    RegisterLayout,
+    analyze,
+    generate_output,
+    parse_spec,
+)
+from balancegate.analyzer import RULE_ISOLATED_LINEAR_TERM, SEVERITY_WARNING
 from balancegate.cli import main
+from conftest import COPRIME_SHAPES
 
 GEFFE_SPEC = {
     "registers": [
@@ -36,6 +46,23 @@ ONE_MINTERM_SPEC = {
 THREE_MINTERM_SPEC = {
     "registers": [WORKED_REGISTER],
     "function": "m2*m1*m0 ^ m2 ^ m1 ^ m0",
+}
+
+# 125 stages, wider than a packed int64 joint state; the function reads 8
+WIDE_LAYOUT_SPEC = {
+    "registers": [
+        {"name": "a", "length": 29, "polynomial": [29, 2, 0]},
+        {"name": "b", "length": 31, "polynomial": [31, 3, 0]},
+        {"name": "c", "length": 32, "polynomial": [32, 22, 2, 1, 0]},
+        {"name": "d", "length": 33, "polynomial": [33, 13, 0]},
+    ],
+    "function": "a0*b30 ^ c31*d32 ^ d0 ^ a28*c5*b0",
+}
+
+# one register whose states do not fit int64 at all
+LONG_REGISTER_SPEC = {
+    "registers": [{"name": "m", "length": 70, "polynomial": [70, 69, 55, 54, 0]}],
+    "function": "m69*m0 ^ m35 ^ m1*m2*m68",
 }
 
 
@@ -132,6 +159,28 @@ class TestAnalyzeCommand:
         code = main(["analyze", path, "--max-h-entries", "2"])
         assert code == 4
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("cap", ["0", "-3", "many"])
+    def test_sum_entry_cap_below_one_is_a_usage_error(
+        self, spec_file, capsys, command, cap
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([command, spec_file(GEFFE_SPEC), "--max-h-entries", cap])
+        assert info.value.code == 2
+        assert "--max-h-entries" in capsys.readouterr().err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(GEFFE_SPEC).encode("utf-16-le"))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_nesting_too_deep(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestExpandCommand:
@@ -242,6 +291,32 @@ class TestSimulateCommand:
         assert code == 0
         assert "steps: 5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("data", [WIDE_LAYOUT_SPEC, LONG_REGISTER_SPEC])
+    @pytest.mark.parametrize("steps", [4096, 4097])
+    def test_long_window_matches_stepwise_reference(self, spec_file, capsys, data, steps):
+        code = main(["simulate", spec_file(data), "--steps", str(steps), "--dump"])
+        out = capsys.readouterr().out
+        assert code == 0
+        reference = generate_output(parse_spec(data).instance(), steps)
+        lines = out.splitlines()
+        assert lines[-2:] == [f"steps: {steps}", f"ones: {sum(reference)}"]
+        assert "".join(lines[:-2]) == "".join(map(str, reference))
+
+    def test_window_past_a_short_cycle_is_rejected(self, spec_file, capsys):
+        # x^4 + x^2 + 1 = (x^2 + x + 1)^2: the all-ones seed does not come back
+        # after 15 steps, so a window up to 15 steps runs and a longer one wraps
+        data = {
+            "registers": [{"name": "m", "length": 4, "polynomial": [4, 2, 0]}],
+            "function": "m0",
+        }
+        path = spec_file(data)
+        assert main(["simulate", path, "--steps", "15"]) == 0
+        assert "steps: 15" in capsys.readouterr().out
+        assert main(["simulate", path, "--steps", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not return to the seed" in captured.err
+
     def test_steps_and_full_period_conflict(self, spec_file, capsys):
         with pytest.raises(SystemExit) as info:
             main(["simulate", spec_file(GEFFE_SPEC), "--steps", "5", "--full-period"])
@@ -337,6 +412,42 @@ class TestCheckRulesCommand:
     def test_plain_combiner_has_no_findings(self, spec_file, capsys):
         assert main(["check-rules", spec_file(GEFFE_SPEC)]) == 0
         assert capsys.readouterr().out == "no findings\n"
+
+    def test_prints_analyze_findings_but_the_multi_register_note(
+        self, spec_file, capsys
+    ):
+        rng = random.Random(4001)
+        printed = hidden = 0
+        for i in range(60):
+            shape = COPRIME_SHAPES[i % len(COPRIME_SHAPES)]
+            layout = RegisterLayout.from_lengths(list(shape))
+            # low-degree monomials, so linear terms and shared factors occur
+            terms = set()
+            for _ in range(rng.randint(1, 5)):
+                mask = 0
+                for _ in range(rng.randint(1, 3)):
+                    mask |= 1 << rng.randrange(layout.total_length)
+                terms ^= {mask}
+            if not terms:
+                continue
+            f = AnfFunction(layout, frozenset(terms))
+            data = {
+                "registers": [{"name": n, "length": m} for n, m in shape],
+                "function": f.to_text(),
+            }
+            found = analyze(f).findings
+            expected = [
+                f"[{x.severity}] {x.rule_id} ({', '.join(x.evidence)}): {x.message}"
+                for x in found
+                if (x.rule_id, x.severity)
+                != (RULE_ISOLATED_LINEAR_TERM, SEVERITY_WARNING)
+            ]
+            printed += bool(expected)
+            hidden += len(found) - len(expected)
+            assert main(["check-rules", spec_file(data)]) == 0
+            out = capsys.readouterr().out
+            assert out.splitlines() == (expected or ["no findings"])
+        assert printed >= 10 and hidden >= 10
 
 
 class TestSpecFileValidation:

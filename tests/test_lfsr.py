@@ -1,7 +1,6 @@
 """Register simulation, polynomial verification, brute-force counting oracles."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -19,7 +18,6 @@ from balancegate import (
     generate_output,
     iter_output_chunks,
     lfsr_step,
-    monobit_statistic,
     parse_function,
     state_cycle,
     verify_maximum_length,
@@ -290,19 +288,3 @@ class TestCountingOracles:
             f = random_function(rng, layout, max_terms=6)
             g = GeneratorInstance(layout, configs, f)
             assert count_ones_simulated(g) == count_ones_truthtable(f)
-
-
-class TestMonobit:
-    def test_worked_sequence(self):
-        assert monobit_statistic([0, 1, 1, 1, 0, 0, 0]) == (3, Fraction(3, 7))
-
-    def test_balanced_sequence(self):
-        ones, share = monobit_statistic([0, 1] * 8)
-        assert ones == 8
-        assert share == Fraction(1, 2)
-
-    def test_rejects_empty_and_non_bits(self):
-        with pytest.raises(ValidationError):
-            monobit_statistic([])
-        with pytest.raises(ValidationError):
-            monobit_statistic([0, 1, 2])

@@ -13,20 +13,15 @@ from balancegate import (
     ResourceLimitError,
     ValidationError,
     accumulate,
-    common_development,
-    common_minterm,
     exact_ones_multi,
-    exact_ones_single,
     expand_minterm,
     minterm_expansion,
-    minterm_masks,
     parse_function,
     superset_masks,
 )
 from conftest import geffe_layout, random_function
 
 TOY = "m2*m0 ^ m2*m1 ^ m1"
-GEFFE = "a0*b0 ^ b0*c0 ^ c0"
 
 # 10-bit masks over registers a(2) b(3) c(5)
 A0 = 0b0000000001
@@ -61,37 +56,51 @@ class TestMintermSum:
 
 
 class TestCommonDevelopment:
+    """accumulate subtracts twice each entry carried onto its union with the
+    new mask; these pin that step through the fold itself."""
+
     def test_mask_union(self):
-        assert common_minterm(0b0011, 0b1001) == 0b1011
-        assert common_minterm(0b0101, 0b0101) == 0b0101
+        # the shared minterm of a pair is their bitwise union, subtracted twice
+        assert dict(accumulate([0b0011, 0b1001], 4).items()) == {
+            0b0011: 1,
+            0b1001: 1,
+            0b1011: -2,
+        }
+        # a mask's union with itself is the mask: x ^ x cancels entirely
+        assert accumulate([0b0101, 0b0101], 4).is_empty
         with pytest.raises(ValidationError):
-            common_minterm(-1, 0b1)
+            accumulate([0b1, -1], 4)
 
     def test_union_is_shared_expansion(self):
         # the expansion of the union is exactly the overlap of the expansions
         for a, b in [(0b0011, 0b1001), (0b0001, 0b0110), (0b1111, 0b0001)]:
             shared = superset_masks(a, 4) & superset_masks(b, 4)
-            assert shared == superset_masks(common_minterm(a, b), 4)
+            assert shared == superset_masks(a | b, 4)
 
     def test_sum_carries_coefficients_onto_unions(self):
-        h = MintermSum(10, {A0B0: 1, B0C0: 1, A0B0C0: -2})
-        out = common_development(h, C0)
-        assert dict(out.items()) == {B0C0: 1, A0B0C0: -1}
+        before = accumulate([A0B0, B0C0], 10)
+        after = accumulate([A0B0, B0C0, C0], 10)
+        step = {
+            m: after.coefficient(m) - before.coefficient(m)
+            for m in before.masks() | after.masks()
+        }
+        # +c0, minus twice the common development {b0c0: 1, a0b0c0: -1}
+        assert {m: d for m, d in step.items() if d} == {C0: 1, B0C0: -2, A0B0C0: 2}
 
     def test_sum_collapses_colliding_unions(self):
-        h = MintermSum(4, {0b1100: 1, 0b0011: 1})
-        out = common_development(h, 0b0011)
-        assert dict(out.items()) == {0b1111: 1, 0b0011: 1}
+        # 0011 and 1111 both land on unions already held and cancel to zero
+        h = accumulate([0b1100, 0b0011, 0b0011], 4)
+        assert dict(h.items()) == {0b1100: 1}
 
     def test_rejects_wide_mask(self):
         with pytest.raises(ValidationError):
-            common_development(MintermSum(3, {0b1: 1}), 0b1000)
+            accumulate([0b1, 0b1000], 3)
 
 
 class TestAccumulate:
     def test_single_register_example(self):
         f = parse_function(TOY, RegisterLayout.single(3))
-        h = accumulate(minterm_masks(f), 3)
+        h = accumulate(f.terms, 3)
         assert dict(h.items()) == {0b101: 1, 0b110: -1, 0b010: 1}
 
     def test_single_register_intermediate(self):
@@ -192,26 +201,27 @@ class TestAccumulate:
 class TestExactOnes:
     def test_single_register_example(self):
         h = MintermSum(3, {0b101: 1, 0b110: -1, 0b010: 1})
-        assert exact_ones_single(h, 3) == 4
+        assert exact_ones_multi(h, RegisterLayout.single(3)) == 4
 
     @pytest.mark.parametrize("length", range(1, 13))
     def test_unit_mask_gives_half_period(self, length):
         h = MintermSum(length, {1 << (length - 1): 1})
-        assert exact_ones_single(h, length) == 1 << (length - 1)
+        assert exact_ones_multi(h, RegisterLayout.single(length)) == 1 << (length - 1)
 
     def test_empty_sum_counts_zero(self):
-        assert exact_ones_single(MintermSum(4), 4) == 0
+        assert exact_ones_multi(MintermSum(4), RegisterLayout.single(4)) == 0
         assert exact_ones_multi(MintermSum(10), geffe_layout()) == 0
 
     def test_internal_errors_on_inconsistent_sums(self):
+        layout = RegisterLayout.single(2)
         with pytest.raises(InternalCheckError):
-            exact_ones_single(MintermSum(2, {0b1: 3}), 2)  # 6 > period 3
+            exact_ones_multi(MintermSum(2, {0b1: 3}), layout)  # 6 > period 3
         with pytest.raises(InternalCheckError):
-            exact_ones_single(MintermSum(2, {0b1: -1}), 2)
+            exact_ones_multi(MintermSum(2, {0b1: -1}), layout)
 
     def test_width_mismatch(self):
         with pytest.raises(ValidationError):
-            exact_ones_single(MintermSum(4, {0b1: 1}), 5)
+            exact_ones_multi(MintermSum(4, {0b1: 1}), RegisterLayout.single(5))
         with pytest.raises(ValidationError):
             exact_ones_multi(MintermSum(4, {0b1: 1}), geffe_layout())
 
@@ -294,10 +304,3 @@ class TestExpansion:
         f = parse_function("m0", RegisterLayout.single(30))
         with pytest.raises(ResourceLimitError):
             minterm_expansion(f)
-
-
-def test_minterm_masks_order_and_content():
-    f = parse_function(TOY, RegisterLayout.single(3))
-    assert minterm_masks(f) == [0b010, 0b101, 0b110]
-    g = parse_function(GEFFE, geffe_layout())
-    assert minterm_masks(g) == [A0B0, C0, B0C0]
