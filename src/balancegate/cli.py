@@ -121,7 +121,10 @@ def _add_sum_cap(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=DEFAULT_MAX_SUM_ENTRIES,
         metavar="N",
-        help="cap on tracked signed-sum entries (default %(default)s)",
+        help=(
+            "cap on signed-sum entries: the final sum's on the dense engine,"
+            " the running sum's on the fold (default %(default)s)"
+        ),
     )
 
 

@@ -4,7 +4,9 @@ Each ANF monomial doubles as the mask of a minterm function, which emits
 exactly one 1 per period.  XORing minterm functions makes their expansions
 cancel pairwise; the engine tracks that cancellation symbolically as a signed
 integer combination of minterm masks and converts the final combination into
-the ones count of the full-period output sequence.
+the ones count of the full-period output sequence.  When the function reads
+few variables, the same final combination comes from an integer Moebius
+transform over them instead (see `accumulate`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ __all__ = [
 
 DEFAULT_MAX_SUM_ENTRIES = 1_000_000
 DEFAULT_MAX_EXPANSION_TERMS = 1 << 20
+# widest support the dense engine takes: int32 holds its coefficients, whose
+# magnitude stays within 2**(k - 1)
+_DENSE_MAX_SUPPORT = 24
 
 
 class MintermSum:
@@ -57,6 +62,14 @@ class MintermSum:
                     else:
                         combined.pop(mask, None)
         self._entries = combined
+
+    @classmethod
+    def _of(cls, width: int, entries: dict[int, int]) -> MintermSum:
+        """Wrap entries already known to be nonzero and to fit in width bits."""
+        h = cls.__new__(cls)
+        h.width = width
+        h._entries = entries
+        return h
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._entries.items())
@@ -103,16 +116,37 @@ def accumulate(
     is exactly the pairwise cancellation of the underlying expansions.  The
     result is independent of the input order.
 
+    The final sum is the XOR combination's integer normal form, which is
+    unique, so two engines compute it.  With k support bits (the union of all
+    masks) and n masks, the fold makes at most n * 2**min(n, k) entry-steps,
+    the dense engine k * 2**k.  The dense engine, an integer Moebius
+    transform over the k support variables, runs when k <= 24 and n >= k;
+    the fold runs otherwise.
+
     Raises:
-        ResourceLimitError: if the tracked entry count ever exceeds max_entries.
+        ResourceLimitError: if the sum holds more than max_entries entries.
+            The dense engine checks the final sum before building it; the
+            fold checks the running sum after every mask.
     """
     if width < 1:
         raise ValidationError("sum width must be positive")
+    masks = list(masks)
     limit = 1 << width
-    entries: dict[int, int] = {}
+    support = 0
     for mask in masks:
         if not 0 <= mask < limit:
             raise ValidationError(f"mask {mask} wider than {width} bits")
+        support |= mask
+    k = support.bit_count()
+    if k <= _DENSE_MAX_SUPPORT and len(masks) >= k:
+        return _dense_sum(masks, width, max_entries)
+    return _fold_sum(masks, width, max_entries)
+
+
+def _fold_sum(masks: list[int], width: int, max_entries: int) -> MintermSum:
+    """The signed-sum fold of `accumulate`, one mask at a time."""
+    entries: dict[int, int] = {}
+    for mask in masks:
         delta: dict[int, int] = {mask: 1}
         for prev, coeff in entries.items():
             union = prev | mask
@@ -128,7 +162,58 @@ def accumulate(
                 f"signed sum grew past {max_entries} entries; raise the cap to"
                 " continue"
             )
-    return MintermSum(width, entries)
+    return MintermSum._of(width, entries)
+
+
+def _dense_sum(masks: list[int], width: int, max_entries: int) -> MintermSum:
+    """The final sum of `accumulate` as an integer Moebius transform.
+
+    The masks, projected onto the k support bits, XOR into an ANF table of
+    2**k cells.  k XOR butterflies turn it into the truth table, and k
+    integer butterflies turn that into the coefficients of the integer
+    normal form: coefficient S is the sum of (-1)**(|S| - |T|) * f(T) over
+    the subsets T of S.
+    """
+    import numpy as np
+
+    support = 0
+    for mask in masks:
+        support |= mask
+    bits = [b for b in range(support.bit_length()) if support >> b & 1]
+    k = len(bits)
+    anf = np.zeros(1 << k, dtype=np.uint8)
+    for mask in masks:
+        anf[sum(1 << j for j, b in enumerate(bits) if mask >> b & 1)] ^= 1
+    for j in range(k):
+        pairs = anf.reshape(-1, 2, 1 << j)
+        pairs[:, 1, :] ^= pairs[:, 0, :]
+    coeffs = anf.astype(np.int32)
+    del anf
+    for j in range(k):
+        pairs = coeffs.reshape(-1, 2, 1 << j)
+        pairs[:, 1, :] -= pairs[:, 0, :]
+    count = int(np.count_nonzero(coeffs))
+    if count > max_entries:
+        raise ResourceLimitError(
+            f"signed sum has {count} entries, past the cap of {max_entries};"
+            " raise the cap to continue"
+        )
+    indices = np.flatnonzero(coeffs)
+    values = coeffs[indices].tolist()
+    del coeffs
+    # each byte of a projected index maps back through a 256-cell table
+    global_masks = np.zeros(indices.size, dtype=object)
+    for lo in range(0, k, 8):
+        chunk = bits[lo : lo + 8]
+        table = np.array(
+            [
+                sum(1 << b for i, b in enumerate(chunk) if v >> i & 1)
+                for v in range(1 << len(chunk))
+            ],
+            dtype=object,
+        )
+        global_masks |= table[(indices >> lo) & 0xFF]
+    return MintermSum._of(width, dict(zip(global_masks.tolist(), values)))
 
 
 def exact_ones_multi(h: MintermSum, layout: RegisterLayout) -> int:
@@ -137,20 +222,28 @@ def exact_ones_multi(h: MintermSum, layout: RegisterLayout) -> int:
     Register segments with weight d >= 1 contribute a factor 2**(len - d);
     an all-zero segment means the register contributes no variable of its
     own, and the factor is its whole period 2**len - 1 (every nonzero state,
-    zero state excluded).  Lengths must be pairwise coprime.
+    zero state excluded).  Lengths must be pairwise coprime.  Entries with
+    the same segment weights share a factor, so each group's coefficients
+    are summed first and the factor is multiplied once.
     """
     if h.width != layout.total_length:
         raise ValidationError(
             f"sum width {h.width} does not match layout of {layout.total_length} bits"
         )
     period = layout.period()
+    if h.coefficient(0):
+        raise InternalCheckError("zero mask in a final signed sum")
+    segments = [((1 << reg.length) - 1) << reg.offset for reg in layout.registers]
+    weights_of = [
+        [(mask & seg).bit_count() for mask in h._entries] for seg in segments
+    ]
+    groups: dict[tuple[int, ...], int] = {}
+    for weights, coeff in zip(zip(*weights_of), h._entries.values()):
+        groups[weights] = groups.get(weights, 0) + coeff
     total = 0
-    for mask, coeff in h.items():
-        if mask == 0:
-            raise InternalCheckError("zero mask in a final signed sum")
+    for weights, coeff in groups.items():
         factor = 1
-        for reg in layout.registers:
-            d = layout.segment_value(mask, reg).bit_count()
+        for reg, d in zip(layout.registers, weights):
             factor *= (1 << (reg.length - d)) if d else ((1 << reg.length) - 1)
         total += coeff * factor
     if not 0 <= total <= period:

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from balancegate import (
     AnfFunction,
@@ -13,13 +14,16 @@ from balancegate import (
     ResourceLimitError,
     ValidationError,
     accumulate,
+    analyze,
+    count_ones_truthtable,
     exact_ones_multi,
     expand_minterm,
     minterm_expansion,
     parse_function,
     superset_masks,
 )
-from conftest import geffe_layout, random_function
+from balancegate import minterms
+from conftest import COPRIME_SHAPES, geffe_layout, random_function
 
 TOY = "m2*m0 ^ m2*m1 ^ m1"
 
@@ -196,6 +200,85 @@ class TestAccumulate:
     def test_rejects_wide_masks(self):
         with pytest.raises(ValidationError):
             accumulate([0b100], 2)
+
+
+@st.composite
+def mask_lists(draw):
+    """(width, masks) drawn from a small pool, so duplicates are common."""
+    width = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=8))
+    return width, draw(st.lists(st.sampled_from(pool), max_size=16))
+
+
+@st.composite
+def coprime_functions(draw):
+    """A function over a coprime layout with fewer monomials than support
+    bits (the fold's side of the engine switch) or at least as many."""
+    layout = RegisterLayout.from_lengths(draw(st.sampled_from(COPRIME_SHAPES)))
+    width = layout.total_length
+    few = draw(st.booleans())
+    n = draw(st.integers(1, 3) if few else st.integers(width, 2 * width))
+    terms = draw(st.sets(st.integers(1, (1 << width) - 1), min_size=n, max_size=n))
+    support = 0
+    for t in terms:
+        support |= t
+    assume(few == (n < support.bit_count()))
+    return AnfFunction(layout, frozenset(terms))
+
+
+class TestEngines:
+    """The dense engine and the fold compute the same final sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mask_lists())
+    @example((3, []))
+    @example((3, [0]))
+    @example((4, [0, 0b0101, 0]))
+    def test_dense_sum_equals_fold(self, case):
+        width, masks = case
+        cap = 1 << width
+        assert minterms._dense_sum(masks, width, cap) == minterms._fold_sum(
+            masks, width, cap
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(coprime_functions())
+    def test_count_matches_truth_table_on_both_sides_of_the_switch(self, f):
+        assert analyze(f).ones == count_ones_truthtable(f)
+
+    def test_dense_guard_names_the_final_entry_count(self):
+        with pytest.raises(ResourceLimitError) as info:
+            accumulate([1 << i for i in range(22)], 22)
+        assert info.value.exit_code == 4
+        assert str((1 << 22) - 1) in str(info.value)
+        assert str(minterms.DEFAULT_MAX_SUM_ENTRIES) in str(info.value)
+
+    def test_dense_cap_bounds_the_final_sum(self):
+        # the fold's running sum would reach 1023 entries before cancelling
+        masks = [1 << i for i in range(10)] * 2
+        assert accumulate(masks, 10, max_entries=100).is_empty
+
+    def test_fold_serves_sparse_and_wide_supports(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense engine chosen")
+
+        wide = parse_function(
+            "m127*m64 ^ m100*m55*m3 ^ m0", RegisterLayout.single(128)
+        )
+        sparse = parse_function(
+            "m0*m1*m2*m3 ^ m4*m5*m6*m7 ^ m8*m9*m10*m11 ^ m12*m13*m14*m15"
+            " ^ m16*m17*m18*m19",
+            RegisterLayout.single(20),
+        )
+        expected = exact_ones_multi(
+            minterms._dense_sum(sorted(sparse.terms), 20, 1 << 20), sparse.layout
+        )
+        monkeypatch.setattr(minterms, "_dense_sum", refuse)
+        assert analyze(wide).ones == 1 << 127
+        assert analyze(sparse).ones == expected
+        # k = 26 > 24 with n >= k: the fold runs and its running cap trips
+        with pytest.raises(ResourceLimitError, match="grew past"):
+            accumulate([1 << i for i in range(26)], 26, max_entries=1000)
 
 
 class TestExactOnes:
