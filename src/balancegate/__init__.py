@@ -45,9 +45,7 @@ from .minterms import (
     MintermSum,
     accumulate,
     exact_ones_multi,
-    expand_minterm,
     minterm_expansion,
-    superset_masks,
 )
 from .specfile import GeneratorSpec, RegisterSpec, load_spec, parse_spec
 
@@ -86,9 +84,7 @@ __all__ = [
     "MintermSum",
     "accumulate",
     "exact_ones_multi",
-    "expand_minterm",
     "minterm_expansion",
-    "superset_masks",
     "GeneratorSpec",
     "RegisterSpec",
     "load_spec",

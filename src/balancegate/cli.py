@@ -175,10 +175,13 @@ class _DumpWriter:
         self.pending = ""
 
     def feed(self, bits: np.ndarray) -> None:
-        self.pending += (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-        while len(self.pending) >= 64:
-            self.stream.write(self.pending[:64] + "\n")
-            self.pending = self.pending[64:]
+        digits = (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+        text = self.pending + digits
+        end = len(text) - len(text) % 64
+        if end:
+            lines = (text[i : i + 64] + "\n" for i in range(0, end, 64))
+            self.stream.write("".join(lines))
+        self.pending = text[end:]
 
     def close(self) -> None:
         if self.pending:

@@ -6,7 +6,8 @@ cancel pairwise; the engine tracks that cancellation symbolically as a signed
 integer combination of minterm masks and converts the final combination into
 the ones count of the full-period output sequence.  When the function reads
 few variables, the same final combination comes from an integer Moebius
-transform over them instead (see `accumulate`).
+transform over them instead (see `accumulate`), and the truth table that
+transform starts from lists the minterms (see `minterm_expansion`).
 """
 
 from __future__ import annotations
@@ -22,15 +23,14 @@ __all__ = [
     "MintermSum",
     "accumulate",
     "exact_ones_multi",
-    "superset_masks",
-    "expand_minterm",
     "minterm_expansion",
 ]
 
 DEFAULT_MAX_SUM_ENTRIES = 1_000_000
 DEFAULT_MAX_EXPANSION_TERMS = 1 << 20
-# widest support the dense engine takes: int32 holds its coefficients, whose
-# magnitude stays within 2**(k - 1)
+# widest support the truth-table transform takes: its table has 2**k cells,
+# and int32 holds the dense engine's coefficients, whose magnitude stays
+# within 2**(k - 1)
 _DENSE_MAX_SUPPORT = 24
 
 
@@ -168,28 +168,16 @@ def _fold_sum(masks: list[int], width: int, max_entries: int) -> MintermSum:
 def _dense_sum(masks: list[int], width: int, max_entries: int) -> MintermSum:
     """The final sum of `accumulate` as an integer Moebius transform.
 
-    The masks, projected onto the k support bits, XOR into an ANF table of
-    2**k cells.  k XOR butterflies turn it into the truth table, and k
-    integer butterflies turn that into the coefficients of the integer
-    normal form: coefficient S is the sum of (-1)**(|S| - |T|) * f(T) over
-    the subsets T of S.
+    k integer butterflies turn the truth table over the k support bits into
+    the coefficients of the integer normal form: coefficient S is the sum of
+    (-1)**(|S| - |T|) * f(T) over the subsets T of S.
     """
     import numpy as np
 
-    support = 0
-    for mask in masks:
-        support |= mask
-    bits = [b for b in range(support.bit_length()) if support >> b & 1]
-    k = len(bits)
-    anf = np.zeros(1 << k, dtype=np.uint8)
-    for mask in masks:
-        anf[sum(1 << j for j, b in enumerate(bits) if mask >> b & 1)] ^= 1
-    for j in range(k):
-        pairs = anf.reshape(-1, 2, 1 << j)
-        pairs[:, 1, :] ^= pairs[:, 0, :]
-    coeffs = anf.astype(np.int32)
-    del anf
-    for j in range(k):
+    bits, table = _truth_table(masks)
+    coeffs = table.astype(np.int32)
+    del table
+    for j in range(len(bits)):
         pairs = coeffs.reshape(-1, 2, 1 << j)
         pairs[:, 1, :] -= pairs[:, 0, :]
     count = int(np.count_nonzero(coeffs))
@@ -201,19 +189,51 @@ def _dense_sum(masks: list[int], width: int, max_entries: int) -> MintermSum:
     indices = np.flatnonzero(coeffs)
     values = coeffs[indices].tolist()
     del coeffs
-    # each byte of a projected index maps back through a 256-cell table
-    global_masks = np.zeros(indices.size, dtype=object)
-    for lo in range(0, k, 8):
-        chunk = bits[lo : lo + 8]
-        table = np.array(
-            [
-                sum(1 << b for i, b in enumerate(chunk) if v >> i & 1)
-                for v in range(1 << len(chunk))
-            ],
-            dtype=object,
+    global_masks = _global_masks(indices, bits).tolist()
+    return MintermSum._of(width, dict(zip(global_masks, values)))
+
+
+def _truth_table(masks: list[int]):
+    """Support bits and truth table of the XOR of the monomials in masks.
+
+    The masks, projected onto the k support bits (bit j of a projected index
+    is stage bits[j]), XOR into an ANF table of 2**k cells, and k XOR
+    butterflies turn it into the truth table over the support assignments.
+    """
+    import numpy as np
+
+    support = 0
+    for mask in masks:
+        support |= mask
+    bits = [b for b in range(support.bit_length()) if support >> b & 1]
+    index = np.zeros(len(masks), dtype=np.int64)
+    for lo in range(0, support.bit_length(), 32):
+        word = np.fromiter(
+            (mask >> lo & 0xFFFFFFFF for mask in masks), np.int64, len(masks)
         )
-        global_masks |= table[(indices >> lo) & 0xFF]
-    return MintermSum._of(width, dict(zip(global_masks.tolist(), values)))
+        for j, b in enumerate(bits):
+            if lo <= b < lo + 32:
+                index |= (word >> (b - lo) & 1) << j
+    table = np.zeros(1 << len(bits), dtype=np.uint8)
+    np.bitwise_xor.at(table, index, 1)
+    for j in range(len(bits)):
+        pairs = table.reshape(-1, 2, 1 << j)
+        pairs[:, 1, :] ^= pairs[:, 0, :]
+    return bits, table
+
+
+def _global_masks(indices, bits: list[int]):
+    """Object array of the global masks of projected indices over bits."""
+    import numpy as np
+
+    # each byte of a projected index maps back through a 256-cell table
+    masks = np.zeros(indices.size, dtype=object)
+    for lo in range(0, len(bits), 8):
+        table = [0]
+        for b in bits[lo : lo + 8]:
+            table += [t | 1 << b for t in table]
+        masks |= np.array(table, dtype=object)[(indices >> lo) & 0xFF]
+    return masks
 
 
 def exact_ones_multi(h: MintermSum, layout: RegisterLayout) -> int:
@@ -253,66 +273,43 @@ def exact_ones_multi(h: MintermSum, layout: RegisterLayout) -> int:
     return total
 
 
-def superset_masks(
-    mask: int,
-    length: int,
-    *,
-    max_terms: int = DEFAULT_MAX_EXPANSION_TERMS,
-) -> set[int]:
-    """Monomial masks of the minterm's expansion: every superset of the mask.
-
-    A minterm of weight d over length variables expands into exactly
-    2**(length - d) monomials.
-    """
-    if not 0 < mask < (1 << length):
-        raise ValidationError(
-            f"mask {mask} must be nonzero and fit in {length} bits"
-        )
-    free = ((1 << length) - 1) ^ mask
-    count = 1 << free.bit_count()
-    if count > max_terms:
-        raise ResourceLimitError(
-            f"expansion of a weight-{mask.bit_count()} minterm over {length} bits"
-            f" has {count} terms, above the {max_terms} guard"
-        )
-    out = set()
-    sub = free
-    while True:
-        out.add(mask | sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-    return out
-
-
-def expand_minterm(
-    mask: int,
-    length: int,
-    *,
-    max_terms: int = DEFAULT_MAX_EXPANSION_TERMS,
-) -> AnfFunction:
-    """ANF of the minterm function for the mask, over a length-bit register."""
-    layout = RegisterLayout.single(length)
-    return AnfFunction(layout, frozenset(superset_masks(mask, length, max_terms=max_terms)))
-
-
 def minterm_expansion(
     f: AnfFunction,
     *,
     max_terms: int = DEFAULT_MAX_EXPANSION_TERMS,
 ) -> frozenset[int]:
-    """Masks of the minterms making up f: expand every paired minterm function
-    and cancel the shared monomials pairwise.
+    """Masks of the minterms making up f: the assignments where f is 1.
 
-    Equivalent, and tested against: mask b is present exactly when f
-    evaluates to 1 at assignment b.
+    The truth table over the k stages f reads is the transform the dense
+    engine of `accumulate` starts from.  Each of its ones stands for
+    2**(L - k) minterms, one per assignment of the L - k stages f does not
+    read.
+
+    Raises:
+        ResourceLimitError: if f reads more than 24 stages, or has more than
+            max_terms minterms; both are known before any mask is built.
     """
+    import numpy as np
+
     length = f.layout.total_length
-    acc: set[int] = set()
-    for mask in sorted(f.terms):
-        acc ^= superset_masks(mask, length, max_terms=max_terms)
-        if len(acc) > max_terms:
-            raise ResourceLimitError(
-                f"minterm expansion grew past {max_terms} entries"
-            )
-    return frozenset(acc)
+    support = 0
+    for mask in f.terms:
+        support |= mask
+    k = support.bit_count()
+    if k > _DENSE_MAX_SUPPORT:
+        raise ResourceLimitError(
+            f"minterm expansion reads {k} variables, past the"
+            f" {_DENSE_MAX_SUPPORT} it can take"
+        )
+    bits, table = _truth_table(list(f.terms))
+    count = int(np.count_nonzero(table)) << (length - k)
+    if not count:
+        return frozenset()
+    if count > max_terms:
+        raise ResourceLimitError(
+            f"minterm expansion has {count} minterms, above the {max_terms} guard"
+        )
+    free = [b for b in range(length) if not support >> b & 1]
+    ones = _global_masks(np.flatnonzero(table), bits)
+    spread = _global_masks(np.arange(1 << len(free)), free)
+    return frozenset((ones[:, None] | spread).ravel().tolist())

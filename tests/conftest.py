@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from balancegate import AnfFunction, RegisterLayout
+from balancegate import AnfFunction, RegisterLayout, minterm_expansion
 
 # multi-register shapes with pairwise coprime lengths, total width <= 14
 COPRIME_SHAPES = [
@@ -27,6 +27,20 @@ def geffe_layout() -> RegisterLayout:
 
 def family_layout() -> RegisterLayout:
     return RegisterLayout.from_lengths([("a", 7), ("b", 8), ("c", 9)])
+
+
+def expansion(mask: int, length: int) -> frozenset[int]:
+    """Minterms of one monomial over a length-stage register: every superset
+    of its mask."""
+    return minterm_expansion(
+        AnfFunction(RegisterLayout.single(length), frozenset({mask}))
+    )
+
+
+def minterm_function(mask: int, length: int) -> AnfFunction:
+    """The minterm function of mask over a length-stage register.  The
+    expansion is an involution, so its ANF is the expansion of the mask."""
+    return AnfFunction(RegisterLayout.single(length), expansion(mask, length))
 
 
 def random_function(

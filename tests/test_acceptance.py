@@ -21,18 +21,18 @@ from balancegate import (
     analyze,
     count_ones_simulated,
     count_ones_truthtable,
-    expand_minterm,
     generate_output,
     minterm_expansion,
     parse_function,
-    superset_masks,
 )
 from balancegate.analyzer import SEVERITY_GUARANTEE
 from conftest import (
     COPRIME_SHAPES,
+    expansion,
     family_layout,
     geffe_layout,
     isolated_term_function,
+    minterm_function,
     random_function,
 )
 
@@ -103,10 +103,14 @@ def test_geffe_three_way_agreement():
 def test_worked_register_golden_sequences():
     layout = RegisterLayout.single(3)
     for mask, wanted in WORKED_SEQUENCES.items():
-        f = expand_minterm(mask, 3)
+        f = minterm_function(mask, 3)
         g = GeneratorInstance(layout, (WORKED,), f)
         assert generate_output(g, 7) == wanted, f"minterm {mask:03b}"
-    mixed = expand_minterm(0b001, 3) ^ expand_minterm(0b010, 3) ^ expand_minterm(0b100, 3)
+    mixed = (
+        minterm_function(0b001, 3)
+        ^ minterm_function(0b010, 3)
+        ^ minterm_function(0b100, 3)
+    )
     g = GeneratorInstance(layout, (WORKED,), mixed)
     assert generate_output(g, 7) == [0, 1, 1, 1, 0, 0, 0]
 
@@ -183,7 +187,7 @@ def test_expansion_identity_suite():
             size[mask] = 1 << (length - mask.bit_count())
             # expansion size, and the engine agrees with the independent route
             assert indicator[mask].bit_count() == size[mask]
-            engine = superset_masks(mask, length)
+            engine = expansion(mask, length)
             assert sum(1 << t for t in engine) == indicator[mask]
 
         for a, b in combinations_with_replacement(range(1, universe), 2):

@@ -1,8 +1,10 @@
 """End-to-end command behavior: output text, exit codes, environment knobs."""
 
+import io
 import json
 import random
 
+import numpy as np
 import pytest
 
 from balancegate import (
@@ -13,7 +15,7 @@ from balancegate import (
     parse_spec,
 )
 from balancegate.analyzer import RULE_ISOLATED_LINEAR_TERM, SEVERITY_WARNING
-from balancegate.cli import main
+from balancegate.cli import _DumpWriter, main
 from conftest import COPRIME_SHAPES
 
 GEFFE_SPEC = {
@@ -199,6 +201,13 @@ class TestExpandCommand:
         assert main(["expand", path]) == 0
         assert capsys.readouterr().out == "0 minterms\n"
 
+    def test_cancelled_function_on_a_wide_register(self, spec_file, capsys):
+        path = spec_file(
+            {"registers": [{"name": "m", "length": 128}], "function": "m0 ^ m0"}
+        )
+        assert main(["expand", path]) == 0
+        assert capsys.readouterr().out == "0 minterms\n"
+
     def test_multi_register_grouping(self, spec_file, capsys):
         path = spec_file(
             {
@@ -252,6 +261,22 @@ class TestSimulateCommand:
         assert all(len(line) == 64 for line in bit_lines[:-1])
         assert len(bit_lines[-1]) == 8
         assert "".join(bit_lines) == "1000000" * 714 + "10"
+
+    def test_dump_lines_do_not_depend_on_chunk_sizes(self):
+        bits = np.random.default_rng(7).integers(0, 2, 329, dtype=np.uint8)
+        whole = io.StringIO()
+        writer = _DumpWriter(whole)
+        writer.feed(bits)
+        writer.close()
+        pieces = io.StringIO()
+        writer = _DumpWriter(pieces)
+        start = 0
+        for size in (1, 63, 65, 200):
+            writer.feed(bits[start : start + size])
+            start += size
+        writer.close()
+        assert pieces.getvalue() == whole.getvalue()
+        assert whole.getvalue().count("\n") == 6
 
     def test_budget_env(self, spec_file, capsys, monkeypatch):
         monkeypatch.setenv("BALANCEGATE_MAX_PERIOD", "100")

@@ -14,7 +14,6 @@ from balancegate import (
     ValidationError,
     count_ones_simulated,
     count_ones_truthtable,
-    expand_minterm,
     generate_output,
     iter_output_chunks,
     lfsr_step,
@@ -25,6 +24,7 @@ from balancegate import (
 from conftest import (
     COPRIME_SHAPES,
     geffe_layout,
+    minterm_function,
     naive_ones_count,
     random_function,
 )
@@ -40,7 +40,7 @@ def single_register_generator(text, config):
 
 def minterm_generator(mask, config):
     layout = RegisterLayout.single(config.length)
-    f = expand_minterm(mask, config.length)
+    f = minterm_function(mask, config.length)
     return GeneratorInstance(layout, (config,), f)
 
 

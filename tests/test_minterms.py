@@ -17,13 +17,17 @@ from balancegate import (
     analyze,
     count_ones_truthtable,
     exact_ones_multi,
-    expand_minterm,
     minterm_expansion,
     parse_function,
-    superset_masks,
 )
 from balancegate import minterms
-from conftest import COPRIME_SHAPES, geffe_layout, random_function
+from conftest import (
+    COPRIME_SHAPES,
+    expansion,
+    geffe_layout,
+    minterm_function,
+    random_function,
+)
 
 TOY = "m2*m0 ^ m2*m1 ^ m1"
 
@@ -78,8 +82,8 @@ class TestCommonDevelopment:
     def test_union_is_shared_expansion(self):
         # the expansion of the union is exactly the overlap of the expansions
         for a, b in [(0b0011, 0b1001), (0b0001, 0b0110), (0b1111, 0b0001)]:
-            shared = superset_masks(a, 4) & superset_masks(b, 4)
-            assert shared == superset_masks(a | b, 4)
+            shared = expansion(a, 4) & expansion(b, 4)
+            assert shared == expansion(a | b, 4)
 
     def test_sum_carries_coefficients_onto_unions(self):
         before = accumulate([A0B0, B0C0], 10)
@@ -226,6 +230,20 @@ def coprime_functions(draw):
     return AnfFunction(layout, frozenset(terms))
 
 
+@st.composite
+def partly_read_functions(draw):
+    """A function over a coprime layout that leaves some stages unread."""
+    layout = RegisterLayout.from_lengths(draw(st.sampled_from(COPRIME_SHAPES)))
+    width = layout.total_length
+    read = draw(st.integers(1, (1 << width) - 2))
+    terms = draw(
+        st.sets(
+            st.integers(1, read).map(lambda t: t & read).filter(bool), max_size=8
+        )
+    )
+    return AnfFunction(layout, frozenset(terms))
+
+
 class TestEngines:
     """The dense engine and the fold compute the same final sum."""
 
@@ -332,24 +350,23 @@ class TestExactOnes:
 
 class TestExpansion:
     def test_examples(self):
-        assert superset_masks(0b011, 3) == {0b011, 0b111}
-        assert superset_masks(0b001, 3) == {0b001, 0b011, 0b101, 0b111}
-        assert superset_masks(0b111, 3) == {0b111}
+        assert expansion(0b011, 3) == {0b011, 0b111}
+        assert expansion(0b001, 3) == {0b001, 0b011, 0b101, 0b111}
+        assert expansion(0b111, 3) == {0b111}
 
     def test_expansion_size_everywhere(self):
         for length in range(1, 11):
             for mask in range(1, 1 << length):
                 size = 1 << (length - mask.bit_count())
-                assert len(superset_masks(mask, length)) == size
+                assert len(expansion(mask, length)) == size
 
-    def test_rejects_zero_mask_and_guards_growth(self):
-        with pytest.raises(ValidationError):
-            superset_masks(0, 4)
+    def test_guards_growth(self):
+        f = AnfFunction(RegisterLayout.single(8), frozenset({1}))
         with pytest.raises(ResourceLimitError):
-            superset_masks(1, 8, max_terms=100)
+            minterm_expansion(f, max_terms=100)
 
-    def test_expand_minterm_returns_function(self):
-        f = expand_minterm(0b011, 3)
+    def test_minterm_function_is_the_expansion_of_its_mask(self):
+        f = minterm_function(0b011, 3)
         assert f.terms == {0b011, 0b111}
         assert f.to_text() == "m2*m1*m0 ^ m1*m0"
 
@@ -358,8 +375,9 @@ class TestExpansion:
         assert minterm_expansion(f) == {0b111, 0b101, 0b011, 0b010}
 
     def test_empty_function_has_no_minterms(self):
-        f = AnfFunction(RegisterLayout.single(3), frozenset())
-        assert minterm_expansion(f) == frozenset()
+        for length in (3, 128):
+            f = AnfFunction(RegisterLayout.single(length), frozenset())
+            assert minterm_expansion(f) == frozenset()
 
     def test_minterms_are_the_support(self):
         # mask present exactly when the function evaluates to 1 there
@@ -386,4 +404,23 @@ class TestExpansion:
     def test_guard_on_wide_layouts(self):
         f = parse_function("m0", RegisterLayout.single(30))
         with pytest.raises(ResourceLimitError):
+            minterm_expansion(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(partly_read_functions())
+    def test_minterms_are_the_ones_with_unread_stages(self, f):
+        width = f.layout.total_length
+        ones = {b for b in range(1, 1 << width) if f.evaluate(b)}
+        assert minterm_expansion(f) == ones
+
+    def test_guard_bounds_the_minterms_not_the_monomials(self):
+        # m0*(1+m1)*...*(1+m21): every odd mask is a monomial, and m0 alone
+        # expands to 2**21 minterms, yet f is 1 only at m0
+        f = AnfFunction(RegisterLayout.single(22), frozenset(range(1, 1 << 22, 2)))
+        assert minterm_expansion(f) == {1}
+
+    def test_refuses_a_support_past_24_and_names_it(self):
+        # 2**5 minterms, but the truth table over 25 stages is not built
+        f = AnfFunction(RegisterLayout.single(30), frozenset({(1 << 25) - 1}))
+        with pytest.raises(ResourceLimitError, match="reads 25 variables"):
             minterm_expansion(f)
