@@ -21,7 +21,7 @@ __all__ = [
     "parse_function",
 ]
 
-_VAR_RE = re.compile(r"([A-Za-z])([0-9]+)")
+_VAR_RE = re.compile(r"([A-Za-z]?)([0-9]+)")
 _XOR_SPLIT = re.compile(r"[+^]")
 
 
@@ -124,15 +124,15 @@ class RegisterLayout:
         reg = self.register_of(bit)
         return f"{reg.name}{bit - reg.offset}"
 
-    def segment_value(self, mask: int, reg: Register) -> int:
-        return (mask >> reg.offset) & ((1 << reg.length) - 1)
-
     def format_mask(self, mask: int) -> str:
         """Grouped bit-string form, one group per register, first register rightmost."""
-        if not 0 <= mask < (1 << self.total_length):
-            raise ValidationError(f"mask {mask} outside layout of {self.total_length} bits")
+        length = self.total_length
+        if not 0 <= mask < (1 << length):
+            raise ValidationError(f"mask {mask} outside layout of {length} bits")
+        # character i of the bit string is stage length - 1 - i
+        bits = format(mask, f"0{length}b")
         return " ".join(
-            format(self.segment_value(mask, reg), f"0{reg.length}b")
+            bits[length - reg.offset - reg.length : length - reg.offset]
             for reg in reversed(self.registers)
         )
 
@@ -166,11 +166,6 @@ class AnfFunction:
             if assignment & t == t:
                 acc ^= 1
         return acc
-
-    def __xor__(self, other: "AnfFunction") -> "AnfFunction":
-        if self.layout != other.layout:
-            raise ValidationError("cannot combine functions over different layouts")
-        return AnfFunction(self.layout, self.terms ^ other.terms)
 
     def to_text(self) -> str:
         """Render in the input grammar; round-trips through parse_function.
@@ -225,32 +220,28 @@ def parse_function(text: str, layout: RegisterLayout) -> AnfFunction:
 
 def _variable_bit(token: str, layout: RegisterLayout) -> int:
     m = _VAR_RE.fullmatch(token)
-    if m:
-        name, index_text = m.group(1), m.group(2)
+    if not m:
+        raise ExpressionError(f"malformed variable {token!r}")
+    name, digits = m.groups()
+    if name:
         reg = layout.register(name)
-        index = int(index_text)
-        if index >= reg.length:
-            raise ExpressionError(
-                f"variable {token}: index {index} out of range for register"
-                f" {name} of length {reg.length}"
-            )
-        return 1 << (reg.offset + index)
-    if token.isdigit():
-        if token in ("0", "1"):
-            raise ExpressionError(
-                f"constant term {token!r} is not supported; functions must be"
-                " constant-free"
-            )
-        if len(layout.registers) == 1:
-            reg = layout.registers[0]
-            index = int(token)
-            if index >= reg.length:
-                raise ExpressionError(
-                    f"variable {token}: index {index} out of range for register"
-                    f" {reg.name} of length {reg.length}"
-                )
-            return 1 << index
+    elif token in ("0", "1"):
+        raise ExpressionError(
+            f"constant term {token!r} is not supported; functions must be"
+            " constant-free"
+        )
+    elif len(layout.registers) == 1:
+        reg = layout.registers[0]
+    else:
         raise ExpressionError(
             f"variable {token!r} needs a register letter in a multi-register layout"
         )
-    raise ExpressionError(f"malformed variable {token!r}")
+    digits = digits.lstrip("0") or "0"
+    # an index with more digits than the length is out of range; testing that
+    # first keeps int() off texts past its 4300-digit limit
+    if len(digits) > len(str(reg.length)) or int(digits) >= reg.length:
+        raise ExpressionError(
+            f"variable {token}: index {digits} out of range for register"
+            f" {reg.name} of length {reg.length}"
+        )
+    return 1 << (reg.offset + int(digits))

@@ -207,9 +207,7 @@ def generate_output(g: GeneratorInstance, steps: int) -> list[int]:
     return out
 
 
-def iter_output_chunks(
-    g: GeneratorInstance, steps: int, *, chunk: int = _CHUNK
-) -> Iterator[np.ndarray]:
+def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]:
     """Output bits as uint8 arrays, built from the stepped per-register walks.
 
     Each register the function reads walks min(steps, 2**L - 1) states with
@@ -260,7 +258,7 @@ def iter_output_chunks(
     ]
     start = 0
     while start < steps:
-        n = min(chunk, steps - start)
+        n = min(_CHUNK, steps - start)
         idx = np.arange(start, start + n, dtype=np.int64)
         joint = np.zeros(n, dtype=np.int64)
         for walk in walks:
@@ -277,8 +275,6 @@ def count_ones_simulated(
     *,
     max_steps: int | None = None,
     verify_polynomials: bool = True,
-    verification_bound: int = DEFAULT_VERIFICATION_BOUND,
-    chunk: int = _CHUNK,
 ) -> int:
     """Ones in exactly one full period of generated output.
 
@@ -299,16 +295,14 @@ def count_ones_simulated(
             f"full period {period} exceeds the simulation budget {budget}"
         )
     if verify_polynomials:
-        require_maximum_length(g, verification_bound)
+        require_maximum_length(g)
     total = 0
-    for bits in iter_output_chunks(g, period, chunk=chunk):
+    for bits in iter_output_chunks(g, period):
         total += int(bits.sum())
     return total
 
 
-def count_ones_truthtable(
-    f: AnfFunction, *, max_bits: int = DEFAULT_TRUTHTABLE_BITS
-) -> int:
+def count_ones_truthtable(f: AnfFunction) -> int:
     """Ones per period counted assignment by assignment.
 
     Walks every joint assignment whose register segments are all nonzero
@@ -317,11 +311,10 @@ def count_ones_truthtable(
     """
     layout = f.layout
     length = layout.total_length
-    if not 1 <= max_bits <= 62:
-        raise ValidationError("truth-table bound must lie in [1, 62]")
-    if length > max_bits:
+    if length > DEFAULT_TRUTHTABLE_BITS:
         raise ResourceLimitError(
-            f"{length}-bit layout above the {max_bits}-bit truth-table guard"
+            f"{length}-bit layout above the {DEFAULT_TRUTHTABLE_BITS}-bit"
+            " truth-table guard"
         )
     x = np.arange(1 << length, dtype=np.int64)
     on = np.zeros(1 << length, dtype=bool)
@@ -333,9 +326,7 @@ def count_ones_truthtable(
     return int(np.count_nonzero(on & valid))
 
 
-def verify_maximum_length(
-    config: LfsrConfig, *, bound: int = DEFAULT_VERIFICATION_BOUND
-) -> bool:
+def verify_maximum_length(config: LfsrConfig) -> bool:
     """True exactly when every nonzero seed walks a full 2**L - 1 state cycle.
 
     Decided through the multiplicative order of x modulo the polynomial,
@@ -343,29 +334,29 @@ def verify_maximum_length(
     direct cycle enumeration in the tests.
 
     Raises:
-        UnverifiedPolynomialError: degree above `bound`; such a polynomial can
-            only be accepted by explicit trust, never silently.
+        UnverifiedPolynomialError: degree above DEFAULT_VERIFICATION_BOUND;
+            such a polynomial can only be accepted by explicit trust, never
+            silently.
     """
-    if config.length > bound:
+    if config.length > DEFAULT_VERIFICATION_BOUND:
         raise UnverifiedPolynomialError(
-            f"degree {config.length} is above the verification bound {bound};"
+            f"degree {config.length} is above the verification bound"
+            f" {DEFAULT_VERIFICATION_BOUND};"
             " the polynomial can only be trusted explicitly"
         )
     return _is_primitive(config.polynomial_as_int, config.length)
 
 
-def require_maximum_length(
-    g: GeneratorInstance, bound: int = DEFAULT_VERIFICATION_BOUND
-) -> None:
+def require_maximum_length(g: GeneratorInstance) -> None:
     """Raise unless every register's polynomial verifies as maximum-length.
 
     Raises:
         ValidationError: a polynomial is not maximum-length.
-        UnverifiedPolynomialError: a degree is above `bound`.
+        UnverifiedPolynomialError: a degree is above DEFAULT_VERIFICATION_BOUND.
     """
     for cfg, reg in zip(g.lfsrs, g.layout.registers):
         try:
-            ok = verify_maximum_length(cfg, bound=bound)
+            ok = verify_maximum_length(cfg)
         except UnverifiedPolynomialError as exc:
             raise UnverifiedPolynomialError(f"register {reg.name}: {exc}") from None
         if not ok:

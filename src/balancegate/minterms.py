@@ -80,9 +80,6 @@ class MintermSum:
     def coefficient(self, mask: int) -> int:
         return self._entries.get(mask, 0)
 
-    def masks(self) -> set[int]:
-        return set(self._entries)
-
     @property
     def is_empty(self) -> bool:
         return not self._entries
@@ -273,11 +270,7 @@ def exact_ones_multi(h: MintermSum, layout: RegisterLayout) -> int:
     return total
 
 
-def minterm_expansion(
-    f: AnfFunction,
-    *,
-    max_terms: int = DEFAULT_MAX_EXPANSION_TERMS,
-) -> frozenset[int]:
+def minterm_expansion(f: AnfFunction) -> frozenset[int]:
     """Masks of the minterms making up f: the assignments where f is 1.
 
     The truth table over the k stages f reads is the transform the dense
@@ -287,7 +280,8 @@ def minterm_expansion(
 
     Raises:
         ResourceLimitError: if f reads more than 24 stages, or has more than
-            max_terms minterms; both are known before any mask is built.
+            DEFAULT_MAX_EXPANSION_TERMS minterms; both are known before any
+            mask is built.
     """
     import numpy as np
 
@@ -305,9 +299,10 @@ def minterm_expansion(
     count = int(np.count_nonzero(table)) << (length - k)
     if not count:
         return frozenset()
-    if count > max_terms:
+    if count > DEFAULT_MAX_EXPANSION_TERMS:
         raise ResourceLimitError(
-            f"minterm expansion has {count} minterms, above the {max_terms} guard"
+            f"minterm expansion has {count} minterms, above the"
+            f" {DEFAULT_MAX_EXPANSION_TERMS} guard"
         )
     free = [b for b in range(length) if not support >> b & 1]
     ones = _global_masks(np.flatnonzero(table), bits)

@@ -110,6 +110,17 @@ def parse_spec(data) -> GeneratorSpec:
     if not isinstance(raw_registers, list) or not raw_registers:
         raise ValidationError('"registers" must be a non-empty list')
     registers = tuple(_parse_register(entry, i) for i, entry in enumerate(raw_registers))
+    # 2**10000 has 3011 digits, so every count and fraction of the period
+    # prints within Python's 4300-digit limit on converting an int to text
+    if sum(r.length for r in registers) > 10_000:
+        raise ValidationError('"registers" hold more than 10000 stages in all')
+    for i, reg in enumerate(registers):
+        # x^L + 1 stands in for an unpinned polynomial: it only has to be well formed
+        exponents = (reg.length, 0) if reg.polynomial is None else reg.polynomial
+        try:
+            LfsrConfig(reg.length, frozenset(exponents), reg.initial_state)
+        except ValidationError as exc:
+            raise ValidationError(f"registers[{i}]: {exc}") from None
 
     function_text = data["function"]
     if not isinstance(function_text, str) or not function_text.strip():
@@ -157,14 +168,7 @@ def _parse_register(entry, index: int) -> RegisterSpec:
                 f'{where}: "initial_state" must be a {length}-character string'
                 " of 0s and 1s (stage 0 first)"
             )
-        initial_state = sum(1 << i for i, ch in enumerate(raw) if ch == "1")
-
-    # x^L + 1 stands in for an unpinned polynomial: it only has to be well formed
-    exponents = (length, 0) if polynomial is None else polynomial
-    try:
-        LfsrConfig(length, frozenset(exponents), initial_state)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        initial_state = int(raw[::-1], 2)
     return RegisterSpec(name, length, polynomial, initial_state)
 
 

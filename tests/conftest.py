@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from balancegate import AnfFunction, RegisterLayout, minterm_expansion
+from balancegate.anf import AnfFunction, RegisterLayout
+from balancegate.minterms import minterm_expansion
 
 # multi-register shapes with pairwise coprime lengths, total width <= 14
 COPRIME_SHAPES = [

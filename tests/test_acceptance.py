@@ -12,20 +12,17 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from balancegate import (
-    AnfFunction,
+from balancegate.analyzer import SEVERITY_GUARANTEE, analyze
+from balancegate.anf import AnfFunction, RegisterLayout, parse_function
+from balancegate.lfsr import (
     GeneratorInstance,
     LfsrConfig,
     PRIMITIVE_POLYNOMIALS,
-    RegisterLayout,
-    analyze,
     count_ones_simulated,
     count_ones_truthtable,
     generate_output,
-    minterm_expansion,
-    parse_function,
 )
-from balancegate.analyzer import SEVERITY_GUARANTEE
+from balancegate.minterms import minterm_expansion
 from conftest import (
     COPRIME_SHAPES,
     expansion,
@@ -106,11 +103,10 @@ def test_worked_register_golden_sequences():
         f = minterm_function(mask, 3)
         g = GeneratorInstance(layout, (WORKED,), f)
         assert generate_output(g, 7) == wanted, f"minterm {mask:03b}"
-    mixed = (
-        minterm_function(0b001, 3)
-        ^ minterm_function(0b010, 3)
-        ^ minterm_function(0b100, 3)
-    )
+    terms = frozenset()
+    for mask in (0b001, 0b010, 0b100):
+        terms ^= minterm_function(mask, 3).terms
+    mixed = AnfFunction(layout, terms)
     g = GeneratorInstance(layout, (WORKED,), mixed)
     assert generate_output(g, 7) == [0, 1, 1, 1, 0, 0, 0]
 

@@ -5,19 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from balancegate import (
-    AnfFunction,
-    MintermSum,
-    RegisterLayout,
-    ResourceLimitError,
-    ValidationError,
-    analyze,
-    check_isolated_linear_term,
-    heuristic_findings,
-    magnitude_label,
-    parse_function,
-    verdict,
-)
 from balancegate.analyzer import (
     RULE_ALL_LINEAR_TERMS,
     RULE_COMMON_FACTOR,
@@ -25,7 +12,15 @@ from balancegate.analyzer import (
     SEVERITY_GUARANTEE,
     SEVERITY_WARNING,
     VerdictPolicy,
+    analyze,
+    check_isolated_linear_term,
+    heuristic_findings,
+    magnitude_label,
+    verdict,
 )
+from balancegate.anf import AnfFunction, RegisterLayout, parse_function
+from balancegate.errors import ResourceLimitError, ValidationError
+from balancegate.minterms import MintermSum
 from conftest import geffe_layout
 
 GEFFE = "a0*b0 ^ b0*c0 ^ c0"

@@ -7,15 +7,11 @@ import random
 import numpy as np
 import pytest
 
-from balancegate import (
-    AnfFunction,
-    RegisterLayout,
-    analyze,
-    generate_output,
-    parse_spec,
-)
-from balancegate.analyzer import RULE_ISOLATED_LINEAR_TERM, SEVERITY_WARNING
+from balancegate.analyzer import RULE_ISOLATED_LINEAR_TERM, SEVERITY_WARNING, analyze
+from balancegate.anf import AnfFunction, RegisterLayout
 from balancegate.cli import _DumpWriter, main
+from balancegate.lfsr import generate_output
+from balancegate.specfile import parse_spec
 from conftest import COPRIME_SHAPES
 
 GEFFE_SPEC = {
@@ -524,6 +520,48 @@ class TestSpecFileValidation:
         code = main(["simulate", spec_file(data), "--steps", "5"])
         assert code == 2
         assert "no built-in" in capsys.readouterr().err
+
+
+class TestIntegerLimits:
+    """Input past Python's integer limits exits 2 with one error line."""
+
+    @staticmethod
+    def assert_refused(capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "registers, function",
+        [
+            ([{"name": "a", "length": 3}, {"name": "b", "length": 4}], "b" + "9" * 5000),
+            ([{"name": "m", "length": 5}], "m0 ^ " + "9" * 5000),
+        ],
+        ids=["with-letter", "bare"],
+    )
+    def test_variable_index_of_5000_digits(self, spec_file, capsys, registers, function):
+        path = spec_file({"registers": registers, "function": function})
+        self.assert_refused(capsys, ["analyze", path])
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_more_than_10000_stages(self, spec_file, capsys, flags):
+        data = {"registers": [{"name": "m", "length": 15000}], "function": "m0*m1"}
+        self.assert_refused(capsys, ["analyze", spec_file(data), *flags])
+        data["registers"] = [{"name": "a", "length": 5000}, {"name": "b", "length": 5001}]
+        data["function"] = "a0*b0"
+        self.assert_refused(capsys, ["analyze", spec_file(data), *flags])
+
+    @pytest.mark.parametrize("length", [10**30, 3_000_000_000])
+    def test_register_length_past_10000(self, spec_file, capsys, length):
+        data = {"registers": [{"name": "m", "length": length}], "function": "m0"}
+        self.assert_refused(capsys, ["analyze", spec_file(data)])
+
+    def test_10000_stages_still_print(self, spec_file, capsys):
+        data = {"registers": [{"name": "m", "length": 10000}], "function": "m9999"}
+        assert main(["analyze", spec_file(data), "--json"]) == 0
+        period = json.loads(capsys.readouterr().out)["period"]
+        assert period == str((1 << 10000) - 1)
 
 
 class TestTopLevel:

@@ -4,20 +4,22 @@ import random
 
 import pytest
 
-from balancegate import (
-    GeneratorInstance,
-    LfsrConfig,
-    PRIMITIVE_POLYNOMIALS,
-    RegisterLayout,
+from balancegate import lfsr
+from balancegate.anf import RegisterLayout, parse_function
+from balancegate.errors import (
     ResourceLimitError,
     UnverifiedPolynomialError,
     ValidationError,
+)
+from balancegate.lfsr import (
+    GeneratorInstance,
+    LfsrConfig,
+    PRIMITIVE_POLYNOMIALS,
     count_ones_simulated,
     count_ones_truthtable,
     generate_output,
     iter_output_chunks,
     lfsr_step,
-    parse_function,
     state_cycle,
     verify_maximum_length,
 )
@@ -152,7 +154,7 @@ class TestGeneratorOutput:
         with pytest.raises(ValidationError):
             generate_output(g, -1)
 
-    def test_chunked_path_matches_stepwise(self):
+    def test_chunked_path_matches_stepwise(self, monkeypatch):
         rng = random.Random(3001)
         for lengths in [(("m", 5),), (("a", 3), ("b", 4)), (("a", 2), ("b", 3), ("c", 5))]:
             layout = RegisterLayout.from_lengths(list(lengths))
@@ -163,7 +165,8 @@ class TestGeneratorOutput:
             g = GeneratorInstance(layout, configs, f)
             steps = layout.period() + 3
             for chunk in (1, 7, 64, 10**6):
-                chunks = list(iter_output_chunks(g, steps, chunk=chunk))
+                monkeypatch.setattr(lfsr, "_CHUNK", chunk)
+                chunks = list(iter_output_chunks(g, steps))
                 flat = [int(b) for arr in chunks for b in arr]
                 assert flat == generate_output(g, steps)
 
@@ -196,7 +199,7 @@ class TestVerifyMaximumLength:
         with pytest.raises(UnverifiedPolynomialError) as info:
             verify_maximum_length(cfg)
         assert info.value.exit_code == 2
-        assert verify_maximum_length(cfg, bound=25) is True
+        assert lfsr._is_primitive(cfg.polynomial_as_int, 25) is True
 
     def test_table_entries_are_maximum_length(self):
         for length, entries in PRIMITIVE_POLYNOMIALS.items():
@@ -239,9 +242,8 @@ class TestCountingOracles:
         f = parse_function("m0", RegisterLayout.single(24))
         with pytest.raises(ResourceLimitError):
             count_ones_truthtable(f)
-        assert count_ones_truthtable(f, max_bits=24) == 1 << 23
-        with pytest.raises(ValidationError):
-            count_ones_truthtable(f, max_bits=0)
+        f = parse_function("m0", RegisterLayout.single(20))
+        assert count_ones_truthtable(f) == 1 << 19
 
     def test_simulated_known_count(self):
         layout = geffe_layout()
