@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .anf import AnfFunction, RegisterLayout
 from .errors import ValidationError
-from .minterms import DEFAULT_MAX_SUM_ENTRIES, MintermSum, accumulate, exact_ones_multi
+from .minterms import DEFAULT_MAX_SUM_ENTRIES, accumulate, exact_ones_multi
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -83,7 +83,7 @@ class AnalysisReport:
     verdict: str
     magnitude_label: str
     findings: tuple[RuleFinding, ...]
-    final_sum: MintermSum
+    final_sum: dict[int, int]  # minterm mask -> signed coefficient, nonzero
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict; counts as decimal strings, rationals as p/q."""
@@ -112,7 +112,7 @@ class AnalysisReport:
             ],
             "sum": [
                 {"mask": self.layout.format_mask(mask), "coefficient": str(coeff)}
-                for mask, coeff in self.final_sum.sorted_items()
+                for mask, coeff in sorted(self.final_sum.items())
             ],
         }
 

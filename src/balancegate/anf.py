@@ -240,8 +240,12 @@ def _variable_bit(token: str, layout: RegisterLayout) -> int:
     # an index with more digits than the length is out of range; testing that
     # first keeps int() off texts past its 4300-digit limit
     if len(digits) > len(str(reg.length)) or int(digits) >= reg.length:
+        # a long index is named by its digit count rather than echoed
+        if len(token) <= 20:
+            what = f"variable {token}: index {digits}"
+        else:
+            what = f"variable index of {len(digits)} digits"
         raise ExpressionError(
-            f"variable {token}: index {digits} out of range for register"
-            f" {reg.name} of length {reg.length}"
+            f"{what} out of range for register {reg.name} of length {reg.length}"
         )
     return 1 << (reg.offset + int(digits))

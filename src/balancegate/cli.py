@@ -32,6 +32,7 @@ from .errors import (
 )
 from .lfsr import (
     DEFAULT_SIMULATION_BUDGET,
+    PRIMITIVE_POLYNOMIALS,
     count_ones_simulated,
     count_ones_truthtable,
     iter_output_chunks,
@@ -208,9 +209,9 @@ def _print_report(report: AnalysisReport) -> None:
             evidence = ", ".join(finding.evidence)
             print(f"  [{finding.severity}] {finding.rule_id} ({evidence}):")
             print(f"      {finding.message}")
-    if not report.final_sum.is_empty:
+    if report.final_sum:
         print("final sum:")
-        for mask, coeff in report.final_sum.sorted_items():
+        for mask, coeff in sorted(report.final_sum.items()):
             sign = "+" if coeff > 0 else "-"
             print(f"  {sign}[{abs(coeff)}] {layout.format_mask(mask)}")
 
@@ -289,10 +290,24 @@ def _cmd_verify(args) -> int:
         print(f"truth-table: {truth}")
 
     budget = _resolve_budget()
+    # a register with neither a pinned nor a built-in polynomial cannot clock
+    unpinned = next(
+        (
+            reg
+            for reg in spec.registers
+            if reg.polynomial is None and reg.length not in PRIMITIVE_POLYNOMIALS
+        ),
+        None,
+    )
     if period > budget:
         print(
             f"simulated:   skipped (period {period} exceeds the simulation"
             f" budget {budget})"
+        )
+    elif unpinned is not None:
+        print(
+            f"simulated:   skipped (register {unpinned.name}: no built-in"
+            f" maximum-length polynomial for length {unpinned.length})"
         )
     else:
         g = spec.instance(notice=_notice)

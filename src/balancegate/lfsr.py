@@ -10,6 +10,7 @@ P(x) taps stage L-e (the constant term is the shift itself, not a tap).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -113,7 +114,7 @@ class LfsrConfig:
         exponents = PRIMITIVE_POLYNOMIALS[length][0]
         return cls(length, frozenset(exponents), initial_state)
 
-    @property
+    @cached_property
     def tap_mask(self) -> int:
         mask = 0
         for e in self.polynomial:

@@ -12,7 +12,7 @@ transform starts from lists the minterms (see `minterm_expansion`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .anf import AnfFunction, RegisterLayout
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
@@ -20,7 +20,6 @@ from .errors import InternalCheckError, ResourceLimitError, ValidationError
 __all__ = [
     "DEFAULT_MAX_SUM_ENTRIES",
     "DEFAULT_MAX_EXPANSION_TERMS",
-    "MintermSum",
     "accumulate",
     "exact_ones_multi",
     "minterm_expansion",
@@ -34,83 +33,19 @@ DEFAULT_MAX_EXPANSION_TERMS = 1 << 20
 _DENSE_MAX_SUPPORT = 24
 
 
-class MintermSum:
-    """Finite map from minterm mask to a signed, unbounded integer coefficient.
-
-    Zero coefficients are dropped eagerly, so two sums are equal exactly when
-    they hold the same entries.  Instances are treated as immutable; all
-    operations return fresh sums.
-    """
-
-    __slots__ = ("width", "_entries")
-
-    def __init__(self, width: int, entries: Iterable[tuple[int, int]] | dict | None = None):
-        if width < 1:
-            raise ValidationError("sum width must be positive")
-        self.width = width
-        limit = 1 << width
-        combined: dict[int, int] = {}
-        if entries is not None:
-            pairs = entries.items() if isinstance(entries, dict) else entries
-            for mask, coeff in pairs:
-                if not 0 <= mask < limit:
-                    raise ValidationError(f"mask {mask} wider than {width} bits")
-                if coeff:
-                    total = combined.get(mask, 0) + coeff
-                    if total:
-                        combined[mask] = total
-                    else:
-                        combined.pop(mask, None)
-        self._entries = combined
-
-    @classmethod
-    def _of(cls, width: int, entries: dict[int, int]) -> MintermSum:
-        """Wrap entries already known to be nonzero and to fit in width bits."""
-        h = cls.__new__(cls)
-        h.width = width
-        h._entries = entries
-        return h
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._entries.items())
-
-    def sorted_items(self) -> list[tuple[int, int]]:
-        return sorted(self._entries.items())
-
-    def coefficient(self, mask: int) -> int:
-        return self._entries.get(mask, 0)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MintermSum):
-            return NotImplemented
-        return self.width == other.width and self._entries == other._entries
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"{mask:0{self.width}b}: {coeff:+d}" for mask, coeff in self.sorted_items()
-        )
-        return f"MintermSum({self.width}, {{{body}}})"
-
-
 def accumulate(
     masks: Iterable[int],
     width: int,
     *,
     max_entries: int = DEFAULT_MAX_SUM_ENTRIES,
-) -> MintermSum:
+) -> dict[int, int]:
     """Fold minterm masks into the signed sum describing their XOR combination.
 
-    Each step adds the new mask with coefficient +1 and subtracts twice the
-    common development with the sum built so far (every entry carried onto its
-    union with the new mask, whose expansion is the overlap of the two), which
-    is exactly the pairwise cancellation of the underlying expansions.  The
+    The sum is a dict from minterm mask to its nonzero coefficient.  Each step
+    adds the new mask with coefficient +1 and subtracts twice the common
+    development with the sum built so far (every entry carried onto its union
+    with the new mask, whose expansion is the overlap of the two), which is
+    exactly the pairwise cancellation of the underlying expansions.  The
     result is independent of the input order.
 
     The final sum is the XOR combination's integer normal form, which is
@@ -136,11 +71,11 @@ def accumulate(
         support |= mask
     k = support.bit_count()
     if k <= _DENSE_MAX_SUPPORT and len(masks) >= k:
-        return _dense_sum(masks, width, max_entries)
-    return _fold_sum(masks, width, max_entries)
+        return _dense_sum(masks, max_entries)
+    return _fold_sum(masks, max_entries)
 
 
-def _fold_sum(masks: list[int], width: int, max_entries: int) -> MintermSum:
+def _fold_sum(masks: list[int], max_entries: int) -> dict[int, int]:
     """The signed-sum fold of `accumulate`, one mask at a time."""
     entries: dict[int, int] = {}
     for mask in masks:
@@ -159,10 +94,10 @@ def _fold_sum(masks: list[int], width: int, max_entries: int) -> MintermSum:
                 f"signed sum grew past {max_entries} entries; raise the cap to"
                 " continue"
             )
-    return MintermSum._of(width, entries)
+    return entries
 
 
-def _dense_sum(masks: list[int], width: int, max_entries: int) -> MintermSum:
+def _dense_sum(masks: list[int], max_entries: int) -> dict[int, int]:
     """The final sum of `accumulate` as an integer Moebius transform.
 
     k integer butterflies turn the truth table over the k support bits into
@@ -187,7 +122,7 @@ def _dense_sum(masks: list[int], width: int, max_entries: int) -> MintermSum:
     values = coeffs[indices].tolist()
     del coeffs
     global_masks = _global_masks(indices, bits).tolist()
-    return MintermSum._of(width, dict(zip(global_masks, values)))
+    return dict(zip(global_masks, values))
 
 
 def _truth_table(masks: list[int]):
@@ -233,8 +168,9 @@ def _global_masks(indices, bits: list[int]):
     return masks
 
 
-def exact_ones_multi(h: MintermSum, layout: RegisterLayout) -> int:
-    """Ones count per joint period, for one register or several.
+def exact_ones_multi(entries: dict[int, int], layout: RegisterLayout) -> int:
+    """Ones count per joint period of the signed sum `entries`, mask to
+    coefficient, for one register or several.
 
     Register segments with weight d >= 1 contribute a factor 2**(len - d);
     an all-zero segment means the register contributes no variable of its
@@ -243,19 +179,16 @@ def exact_ones_multi(h: MintermSum, layout: RegisterLayout) -> int:
     the same segment weights share a factor, so each group's coefficients
     are summed first and the factor is multiplied once.
     """
-    if h.width != layout.total_length:
-        raise ValidationError(
-            f"sum width {h.width} does not match layout of {layout.total_length} bits"
-        )
+    length = layout.total_length
     period = layout.period()
-    if h.coefficient(0):
+    if entries.get(0):
         raise InternalCheckError("zero mask in a final signed sum")
     segments = [((1 << reg.length) - 1) << reg.offset for reg in layout.registers]
-    weights_of = [
-        [(mask & seg).bit_count() for mask in h._entries] for seg in segments
-    ]
+    weights_of = [[(mask & seg).bit_count() for mask in entries] for seg in segments]
     groups: dict[tuple[int, ...], int] = {}
-    for weights, coeff in zip(zip(*weights_of), h._entries.values()):
+    for weights, (mask, coeff) in zip(zip(*weights_of), entries.items()):
+        if mask >> length:
+            raise ValidationError(f"mask {mask} does not fit the {length}-stage layout")
         groups[weights] = groups.get(weights, 0) + coeff
     total = 0
     for weights, coeff in groups.items():

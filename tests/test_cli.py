@@ -3,14 +3,16 @@
 import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balancegate.analyzer import RULE_ISOLATED_LINEAR_TERM, SEVERITY_WARNING, analyze
 from balancegate.anf import AnfFunction, RegisterLayout
 from balancegate.cli import _DumpWriter, main
-from balancegate.lfsr import generate_output
+from balancegate.lfsr import PRIMITIVE_POLYNOMIALS, generate_output
 from balancegate.specfile import parse_spec
 from conftest import COPRIME_SHAPES
 
@@ -385,6 +387,25 @@ class TestVerifyCommand:
         assert "simulated:   skipped" in out
         assert "agreement:   PASS" in out
 
+    @pytest.mark.parametrize("length", [17, 20])
+    def test_register_without_a_polynomial_skips_simulation(
+        self, spec_file, capsys, length
+    ):
+        data = {"registers": [{"name": "m", "length": length}], "function": "m0"}
+        assert main(["verify", spec_file(data)]) == 0
+        half = 1 << (length - 1)
+        assert capsys.readouterr().out.splitlines() == [
+            f"symbolic:    {half}",
+            f"truth-table: {half}",
+            "simulated:   skipped (register m: no built-in maximum-length"
+            f" polynomial for length {length})",
+            "agreement:   PASS",
+        ]
+        # a pinned polynomial is still checked, and x^L + 1 is not maximum-length
+        data["registers"][0]["polynomial"] = [length, 0]
+        assert main(["verify", spec_file(data)]) == 2
+        assert "not maximum-length" in capsys.readouterr().err
+
     def test_no_oracle_available(self, spec_file, capsys, monkeypatch):
         monkeypatch.setenv("BALANCEGATE_MAX_PERIOD", "100")
         data = {
@@ -531,6 +552,7 @@ class TestIntegerLimits:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+        return err
 
     @pytest.mark.parametrize(
         "registers, function",
@@ -542,7 +564,9 @@ class TestIntegerLimits:
     )
     def test_variable_index_of_5000_digits(self, spec_file, capsys, registers, function):
         path = spec_file({"registers": registers, "function": function})
-        self.assert_refused(capsys, ["analyze", path])
+        err = self.assert_refused(capsys, ["analyze", path])
+        # the index is named by its digit count, not echoed
+        assert len(err) <= 200 and "5000 digits" in err
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_more_than_10000_stages(self, spec_file, capsys, flags):
@@ -562,6 +586,103 @@ class TestIntegerLimits:
         assert main(["analyze", spec_file(data), "--json"]) == 0
         period = json.loads(capsys.readouterr().out)["period"]
         assert period == str((1 << 10000) - 1)
+
+
+# one key of a register replaced or added (None drops it)
+_BREAKAGES = [
+    ("length", None),
+    ("length", 0),
+    ("length", True),
+    ("length", "7"),
+    ("length", 10**30),
+    ("name", "mm"),
+    ("name", 7),
+    ("taps", [1]),
+    ("polynomial", "x^3 + 1"),
+    ("polynomial", [17, 0]),
+    ("polynomial", [2, 2, 0]),
+    ("initial_state", ""),
+    ("initial_state", 5),
+]
+# text spliced into a function: stray operators, and variables with unknown
+# letters, indices out of range or past Python's 4300-digit int() limit
+_STRAYS = st.sampled_from(["*", "^", "+", " ^ ", "**", "(", "!", "0", "1", "\n"])
+_INDICES = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(4301, 6000).map(lambda n: "9" * n),
+)
+
+
+@st.composite
+def _specs(draw):
+    """A description that is mostly valid; each part breaks now and then."""
+
+    def rarely() -> bool:
+        return draw(st.sampled_from([False] * 7 + [True]))
+
+    if draw(st.booleans()):
+        shape = draw(st.sampled_from(COPRIME_SHAPES))
+    else:
+        names = draw(
+            st.lists(st.sampled_from("abcm"), min_size=1, max_size=3, unique=True)
+        )
+        shape = [(name, draw(st.integers(1, 16))) for name in names]
+    registers = []
+    for name, length in shape:
+        reg = {"name": name, "length": length}
+        builtin = PRIMITIVE_POLYNOMIALS.get(length)
+        if builtin and draw(st.booleans()):
+            reg["polynomial"] = list(draw(st.sampled_from(builtin)))
+        if draw(st.booleans()):
+            seed = draw(st.integers(1, (1 << length) - 1))
+            reg["initial_state"] = format(seed, f"0{length}b")[::-1]
+        if rarely():
+            key, value = draw(st.sampled_from(_BREAKAGES))
+            if value is None:
+                del reg[key]
+            else:
+                reg[key] = value
+        registers.append(reg)
+
+    variables = [f"{name}{i}" for name, length in shape for i in range(length)]
+    monomials = st.lists(st.sampled_from(variables), min_size=1, max_size=3)
+    function = " ^ ".join(
+        "*".join(m) for m in draw(st.lists(monomials, min_size=1, max_size=6))
+    )
+    # mostly variables of known registers, mostly appended as a new term
+    letters = [name for name, _ in shape] * 2 + ["x", "é", ""]
+    variable = st.tuples(
+        st.sampled_from([" ^ ", " ^ ", "*", ""]), st.sampled_from(letters), _INDICES
+    ).map("".join)
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        splice = draw(draw(st.sampled_from([_STRAYS, variable, variable])))
+        at = draw(st.one_of(st.just(len(function)), st.integers(0, len(function))))
+        function = function[:at] + splice + function[at:]
+
+    data = {"registers": registers, "function": function}
+    if rarely():
+        data["function"] = draw(st.sampled_from([None, 3, "", " "]))
+    if rarely():
+        data = draw(st.sampled_from([[data], {"registers": registers}]))
+    return data
+
+
+class TestFuzz:
+    """Random descriptions through the command line end in an exit code and,
+    on failure, an error message; never in a traceback."""
+
+    @pytest.mark.parametrize("command", ["analyze", "check-rules", "expand"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=_specs())
+    def test_exit_codes(self, tmp_path_factory, command, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(path)])
+        assert code in (0, 2, 3, 4)
+        if code in (2, 4):
+            assert err.getvalue().startswith("error: ")
 
 
 class TestTopLevel:

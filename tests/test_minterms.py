@@ -10,12 +10,7 @@ from balancegate.analyzer import analyze
 from balancegate.anf import AnfFunction, RegisterLayout, parse_function
 from balancegate.errors import InternalCheckError, ResourceLimitError, ValidationError
 from balancegate.lfsr import count_ones_truthtable
-from balancegate.minterms import (
-    MintermSum,
-    accumulate,
-    exact_ones_multi,
-    minterm_expansion,
-)
+from balancegate.minterms import accumulate, exact_ones_multi, minterm_expansion
 from balancegate import minterms
 from conftest import (
     COPRIME_SHAPES,
@@ -37,41 +32,19 @@ A0C0 = A0 | C0
 A0B0C0 = A0 | B0 | C0
 
 
-class TestMintermSum:
-    def test_drops_zero_coefficients_and_merges_duplicates(self):
-        h = MintermSum(4, [(0b0011, 2), (0b0011, -2), (0b0100, 1), (0b0100, 2)])
-        assert dict(h.items()) == {0b0100: 3}
-        assert h.coefficient(0b0011) == 0
-        assert len(h) == 1
-        assert not h.is_empty
-
-    def test_equality_includes_width(self):
-        assert MintermSum(4, {0b1: 1}) == MintermSum(4, {0b1: 1})
-        assert MintermSum(4, {0b1: 1}) != MintermSum(5, {0b1: 1})
-        assert MintermSum(4) == MintermSum(4, {})
-
-    def test_rejects_bad_masks_and_width(self):
-        with pytest.raises(ValidationError):
-            MintermSum(0)
-        with pytest.raises(ValidationError):
-            MintermSum(3, {0b1000: 1})
-        with pytest.raises(ValidationError):
-            MintermSum(3, {-1: 1})
-
-
 class TestCommonDevelopment:
     """accumulate subtracts twice each entry carried onto its union with the
     new mask; these pin that step through the fold itself."""
 
     def test_mask_union(self):
         # the shared minterm of a pair is their bitwise union, subtracted twice
-        assert dict(accumulate([0b0011, 0b1001], 4).items()) == {
+        assert accumulate([0b0011, 0b1001], 4) == {
             0b0011: 1,
             0b1001: 1,
             0b1011: -2,
         }
         # a mask's union with itself is the mask: x ^ x cancels entirely
-        assert accumulate([0b0101, 0b0101], 4).is_empty
+        assert accumulate([0b0101, 0b0101], 4) == {}
         with pytest.raises(ValidationError):
             accumulate([0b1, -1], 4)
 
@@ -84,15 +57,14 @@ class TestCommonDevelopment:
     def test_sum_carries_coefficients_onto_unions(self):
         before = accumulate([A0B0, B0C0], 10)
         after = accumulate([A0B0, B0C0, C0], 10)
-        masks = {m for h in (before, after) for m, _ in h.items()}
-        step = {m: after.coefficient(m) - before.coefficient(m) for m in masks}
+        step = {m: after.get(m, 0) - before.get(m, 0) for m in before.keys() | after}
         # +c0, minus twice the common development {b0c0: 1, a0b0c0: -1}
         assert {m: d for m, d in step.items() if d} == {C0: 1, B0C0: -2, A0B0C0: 2}
 
     def test_sum_collapses_colliding_unions(self):
         # 0011 and 1111 both land on unions already held and cancel to zero
         h = accumulate([0b1100, 0b0011, 0b0011], 4)
-        assert dict(h.items()) == {0b1100: 1}
+        assert h == {0b1100: 1}
 
     def test_rejects_wide_mask(self):
         with pytest.raises(ValidationError):
@@ -103,26 +75,26 @@ class TestAccumulate:
     def test_single_register_example(self):
         f = parse_function(TOY, RegisterLayout.single(3))
         h = accumulate(f.terms, 3)
-        assert dict(h.items()) == {0b101: 1, 0b110: -1, 0b010: 1}
+        assert h == {0b101: 1, 0b110: -1, 0b010: 1}
 
     def test_single_register_intermediate(self):
         # after the first two masks, before the final one cancels the triple
         h = accumulate([0b101, 0b110], 3)
-        assert dict(h.items()) == {0b101: 1, 0b110: 1, 0b111: -2}
+        assert h == {0b101: 1, 0b110: 1, 0b111: -2}
 
     def test_geffe_masks(self):
         h = accumulate([A0B0, B0C0, C0], 10)
-        assert dict(h.items()) == {A0B0: 1, C0: 1, B0C0: -1}
+        assert h == {A0B0: 1, C0: 1, B0C0: -1}
 
     def test_two_mask_intermediate(self):
         h = accumulate([A0B0, B0C0], 10)
-        assert dict(h.items()) == {A0B0: 1, B0C0: 1, A0B0C0: -2}
+        assert h == {A0B0: 1, B0C0: 1, A0B0C0: -2}
 
     def test_all_terms_function_with_all_linear_terms(self):
         # six masks, coefficients settle to +1 on the linear and -1 on the
         # quadratic minterms
         h = accumulate([A0B0, B0C0, A0C0, A0, B0, C0], 10)
-        assert dict(h.items()) == {
+        assert h == {
             A0: 1,
             B0: 1,
             C0: 1,
@@ -133,7 +105,7 @@ class TestAccumulate:
 
     def test_five_mask_variant(self):
         h = accumulate([A0B0, B0C0, A0, B0, C0], 10)
-        assert dict(h.items()) == {
+        assert h == {
             A0: 1,
             B0: 1,
             C0: 1,
@@ -145,11 +117,11 @@ class TestAccumulate:
 
     def test_common_factor_function(self):
         h = accumulate([A0B0, B0C0, B0], 10)
-        assert dict(h.items()) == {A0B0: -1, B0C0: -1, A0B0C0: 2, B0: 1}
+        assert h == {A0B0: -1, B0C0: -1, A0B0C0: 2, B0: 1}
 
     def test_two_product_one_linear(self):
         h = accumulate([A0B0, B0C0, A0], 10)
-        assert dict(h.items()) == {A0B0: -1, B0C0: 1, A0: 1}
+        assert h == {A0B0: -1, B0C0: 1, A0: 1}
 
     def test_order_independence(self):
         rng = random.Random(2001)
@@ -182,7 +154,7 @@ class TestAccumulate:
                         u |= m
                     closure.add(u)
             h = accumulate(masks, width)
-            assert {m for m, _ in h.items()} <= closure
+            assert h.keys() <= closure
 
     def test_entry_cap_aborts(self):
         masks = [1 << i for i in range(6)]
@@ -249,9 +221,7 @@ class TestEngines:
     def test_dense_sum_equals_fold(self, case):
         width, masks = case
         cap = 1 << width
-        assert minterms._dense_sum(masks, width, cap) == minterms._fold_sum(
-            masks, width, cap
-        )
+        assert minterms._dense_sum(masks, cap) == minterms._fold_sum(masks, cap)
 
     @settings(max_examples=150, deadline=None)
     @given(coprime_functions())
@@ -268,7 +238,7 @@ class TestEngines:
     def test_dense_cap_bounds_the_final_sum(self):
         # the fold's running sum would reach 1023 entries before cancelling
         masks = [1 << i for i in range(10)] * 2
-        assert accumulate(masks, 10, max_entries=100).is_empty
+        assert accumulate(masks, 10, max_entries=100) == {}
 
     def test_fold_serves_sparse_and_wide_supports(self, monkeypatch):
         def refuse(*args):
@@ -283,7 +253,7 @@ class TestEngines:
             RegisterLayout.single(20),
         )
         expected = exact_ones_multi(
-            minterms._dense_sum(sorted(sparse.terms), 20, 1 << 20), sparse.layout
+            minterms._dense_sum(sorted(sparse.terms), 1 << 20), sparse.layout
         )
         monkeypatch.setattr(minterms, "_dense_sum", refuse)
         assert analyze(wide).ones == 1 << 127
@@ -295,51 +265,56 @@ class TestEngines:
 
 class TestExactOnes:
     def test_single_register_example(self):
-        h = MintermSum(3, {0b101: 1, 0b110: -1, 0b010: 1})
+        h = {0b101: 1, 0b110: -1, 0b010: 1}
         assert exact_ones_multi(h, RegisterLayout.single(3)) == 4
 
     @pytest.mark.parametrize("length", range(1, 13))
     def test_unit_mask_gives_half_period(self, length):
-        h = MintermSum(length, {1 << (length - 1): 1})
+        h = {1 << (length - 1): 1}
         assert exact_ones_multi(h, RegisterLayout.single(length)) == 1 << (length - 1)
 
     def test_empty_sum_counts_zero(self):
-        assert exact_ones_multi(MintermSum(4), RegisterLayout.single(4)) == 0
-        assert exact_ones_multi(MintermSum(10), geffe_layout()) == 0
+        assert exact_ones_multi({}, RegisterLayout.single(4)) == 0
+        assert exact_ones_multi({}, geffe_layout()) == 0
 
     def test_internal_errors_on_inconsistent_sums(self):
         layout = RegisterLayout.single(2)
         with pytest.raises(InternalCheckError):
-            exact_ones_multi(MintermSum(2, {0b1: 3}), layout)  # 6 > period 3
+            exact_ones_multi({0b1: 3}, layout)  # 6 > period 3
         with pytest.raises(InternalCheckError):
-            exact_ones_multi(MintermSum(2, {0b1: -1}), layout)
+            exact_ones_multi({0b1: -1}, layout)
+        with pytest.raises(InternalCheckError, match="zero mask"):
+            exact_ones_multi({0: 1}, layout)
 
     def test_width_mismatch(self):
+        # every mask must fit the layout's stages
+        with pytest.raises(ValidationError, match="does not fit the 5-stage"):
+            exact_ones_multi({0b1: 1, 1 << 5: 1}, RegisterLayout.single(5))
+        with pytest.raises(ValidationError, match="does not fit the 10-stage"):
+            exact_ones_multi({1 << 10: 1}, geffe_layout())
         with pytest.raises(ValidationError):
-            exact_ones_multi(MintermSum(4, {0b1: 1}), RegisterLayout.single(5))
-        with pytest.raises(ValidationError):
-            exact_ones_multi(MintermSum(4, {0b1: 1}), geffe_layout())
+            exact_ones_multi({-1: 1}, RegisterLayout.single(5))
 
     def test_multi_register_count(self):
-        h = MintermSum(10, {A0B0: 1, C0: 1, B0C0: -1})
+        h = {A0B0: 1, C0: 1, B0C0: -1}
         assert exact_ones_multi(h, geffe_layout()) == 392
 
     def test_zero_segment_contributes_whole_register_period(self):
         # c0 alone: a and b contribute (2^2-1)(2^3-1), c contributes 2^4
-        h = MintermSum(10, {C0: 1})
+        h = {C0: 1}
         assert exact_ones_multi(h, geffe_layout()) == 3 * 7 * 16
 
     def test_wide_layout_count(self):
         layout = RegisterLayout.from_lengths([("a", 7), ("b", 8), ("c", 9)])
         a0b0 = (1 << 0) | (1 << 7)
         c0 = 1 << 15
-        h = MintermSum(24, {a0b0: 1, c0: 1, a0b0 | c0: -2})
+        h = {a0b0: 1, c0: 1, a0b0 | c0: -2}
         assert exact_ones_multi(h, layout) == 8282368
 
     def test_multi_rejects_non_coprime_layout(self):
         layout = RegisterLayout.from_lengths([("a", 2), ("b", 4)])
         with pytest.raises(ValidationError):
-            exact_ones_multi(MintermSum(6, {0b1: 1}), layout)
+            exact_ones_multi({0b1: 1}, layout)
 
 
 class TestExpansion:
