@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .errors import ExpressionError, ValidationError
 
@@ -126,15 +127,27 @@ class RegisterLayout:
 
     def format_mask(self, mask: int) -> str:
         """Grouped bit-string form, one group per register, first register rightmost."""
+        return self.format_masks([mask])[0]
+
+    def format_masks(self, masks: list[int]) -> list[str]:
+        """The format_mask form of each mask, with the range checked once."""
         length = self.total_length
-        if not 0 <= mask < (1 << length):
-            raise ValidationError(f"mask {mask} outside layout of {length} bits")
+        for mask in (min(masks, default=0), max(masks, default=0)):
+            if not 0 <= mask < (1 << length):
+                raise ValidationError(f"mask {mask} outside layout of {length} bits")
+        spec = f"0{length}b"
+        # one register's form is its bit string, with nothing to cut; cutting
+        # it anyway doubles the time of a million-mask listing
+        if len(self.registers) == 1:
+            return [format(mask, spec) for mask in masks]
         # character i of the bit string is stage length - 1 - i
-        bits = format(mask, f"0{length}b")
-        return " ".join(
-            bits[length - reg.offset - reg.length : length - reg.offset]
-            for reg in reversed(self.registers)
+        cut = itemgetter(
+            *(
+                slice(length - reg.offset - reg.length, length - reg.offset)
+                for reg in reversed(self.registers)
+            )
         )
+        return [" ".join(cut(format(mask, spec))) for mask in masks]
 
 
 @dataclass(frozen=True)
@@ -210,7 +223,7 @@ def parse_function(text: str, layout: RegisterLayout) -> AnfFunction:
             token = token.strip()
             if not token:
                 raise ExpressionError(
-                    f"empty variable (stray '*') in monomial {monomial_text!r}"
+                    f"empty variable (stray '*') in monomial {_shown(monomial_text)}"
                 )
             mask |= _variable_bit(token, layout)
         # self-inverse under XOR: adding a monomial twice removes it
@@ -221,7 +234,7 @@ def parse_function(text: str, layout: RegisterLayout) -> AnfFunction:
 def _variable_bit(token: str, layout: RegisterLayout) -> int:
     m = _VAR_RE.fullmatch(token)
     if not m:
-        raise ExpressionError(f"malformed variable {token!r}")
+        raise ExpressionError(f"malformed variable {_shown(token)}")
     name, digits = m.groups()
     if name:
         reg = layout.register(name)
@@ -234,7 +247,8 @@ def _variable_bit(token: str, layout: RegisterLayout) -> int:
         reg = layout.registers[0]
     else:
         raise ExpressionError(
-            f"variable {token!r} needs a register letter in a multi-register layout"
+            f"variable {_shown(token)} needs a register letter in a multi-register"
+            " layout"
         )
     digits = digits.lstrip("0") or "0"
     # an index with more digits than the length is out of range; testing that
@@ -249,3 +263,10 @@ def _variable_bit(token: str, layout: RegisterLayout) -> int:
             f"{what} out of range for register {reg.name} of length {reg.length}"
         )
     return 1 << (reg.offset + int(digits))
+
+
+def _shown(text: str) -> str:
+    """text quoted for an error message, cut to 20 characters if longer."""
+    if len(text) <= 20:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"

@@ -123,8 +123,11 @@ def _add_sum_cap(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_MAX_SUM_ENTRIES,
         metavar="N",
         help=(
-            "cap on signed-sum entries: the final sum's on the dense engine,"
-            " the running sum's on the fold (default %(default)s)"
+            "cap on signed-sum entries: the final sum's, checked as its"
+            " variable-disjoint components are built and before they are"
+            " multiplied out, and each component's running sum on the fold"
+            " unless the whole design reads k <= 24 variables in n >= k"
+            " monomials (default %(default)s)"
         ),
     )
 
@@ -235,7 +238,7 @@ def _cmd_expand(args) -> int:
     if not masks:
         print("0 minterms")
         return 0
-    listing = ", ".join(layout.format_mask(m) for m in masks)
+    listing = ", ".join(layout.format_masks(masks))
     noun = "minterm" if len(masks) == 1 else "minterms"
     print(f"{listing} ({len(masks)} {noun})")
     return 0

@@ -4,9 +4,10 @@ Each ANF monomial doubles as the mask of a minterm function, which emits
 exactly one 1 per period.  XORing minterm functions makes their expansions
 cancel pairwise; the engine tracks that cancellation symbolically as a signed
 integer combination of minterm masks and converts the final combination into
-the ones count of the full-period output sequence.  When the function reads
-few variables, the same final combination comes from an integer Moebius
-transform over them instead (see `accumulate`), and the truth table that
+the ones count of the full-period output sequence.  Parts of the function
+that share no variable are combined separately and multiplied out, and a part
+that reads few variables gets its combination from an integer Moebius
+transform over them instead (see `accumulate`); the truth table that
 transform starts from lists the minterms (see `minterm_expansion`).
 """
 
@@ -31,6 +32,10 @@ DEFAULT_MAX_EXPANSION_TERMS = 1 << 20
 # and int32 holds the dense engine's coefficients, whose magnitude stays
 # within 2**(k - 1)
 _DENSE_MAX_SUPPORT = 24
+# fold entry-steps (n * 2**k, for n masks over k bits) under which a
+# component folds although the dense rule takes it: below this the fold beats
+# the transform's fixed numpy cost of 25-60 us (measured crossover, k = 1..10)
+_FOLD_MAX_STEPS = 1024
 
 
 def accumulate(
@@ -41,24 +46,33 @@ def accumulate(
 ) -> dict[int, int]:
     """Fold minterm masks into the signed sum describing their XOR combination.
 
-    The sum is a dict from minterm mask to its nonzero coefficient.  Each step
-    adds the new mask with coefficient +1 and subtracts twice the common
-    development with the sum built so far (every entry carried onto its union
-    with the new mask, whose expansion is the overlap of the two), which is
-    exactly the pairwise cancellation of the underlying expansions.  The
-    result is independent of the input order.
+    The sum is a dict from minterm mask to its nonzero coefficient: the XOR
+    combination's integer normal form, which is unique, so the result is
+    independent of the input order and of the engine that builds it.
 
-    The final sum is the XOR combination's integer normal form, which is
-    unique, so two engines compute it.  With k support bits (the union of all
-    masks) and n masks, the fold makes at most n * 2**min(n, k) entry-steps,
-    the dense engine k * 2**k.  The dense engine, an integer Moebius
-    transform over the k support variables, runs when k <= 24 and n >= k;
-    the fold runs otherwise.
+    The masks split into variable-disjoint components, and each component's
+    sum is built on its own.  Unions of masks from disjoint components never
+    collide, so components g and h combine as g + h - 2*g*h, and sums of
+    e_1 .. e_c entries multiply out to prod(1 + e_i) - 1 entries, one more
+    when an odd number of masks is 0 (mask 0 is the constant 1, and
+    1 XOR g is 1 - g).  The running product is checked against max_entries
+    before each component is built, so building stops once it passes the
+    cap, and the final count is checked before anything is multiplied out.
+
+    A component with k support bits and n masks takes one of two engines.
+    The dense engine, an integer Moebius transform over the k support
+    variables (k * 2**k entry-steps), runs when k <= 24 and n >= k, unless
+    the fold's bound n * 2**k is at most 1024 entry-steps; the fold, which
+    adds one mask at a time (at most n * 2**min(n, k) entry-steps), runs
+    otherwise.
 
     Raises:
-        ResourceLimitError: if the sum holds more than max_entries entries.
-            The dense engine checks the final sum before building it; the
-            fold checks the running sum after every mask.
+        ResourceLimitError: if the final sum would hold more than max_entries
+            entries, or if one component's sum does: the dense engine checks
+            a component's final sum before building it, and the fold checks
+            its running sum after every mask.  When the whole list has
+            k <= 24 and n >= k, only final sums are bounded: the fold's
+            running sums are not.
     """
     if width < 1:
         raise ValidationError("sum width must be positive")
@@ -70,13 +84,106 @@ def accumulate(
             raise ValidationError(f"mask {mask} wider than {width} bits")
         support |= mask
     k = support.bit_count()
-    if k <= _DENSE_MAX_SUPPORT and len(masks) >= k:
+    # a whole list the dense rule takes is bounded by its final sum alone, so
+    # its folds get a cap that no running sum over k bits reaches
+    fold_cap = 1 << k if _dense_rule(k, len(masks)) else max_entries
+    parts = []
+    count = 1
+    for group in _components(masks):
+        # a partial product's count never exceeds the final one
+        _check_cap(count - 1, max_entries, "at least ")
+        parts.append(_component_sum(group, max_entries, fold_cap))
+        count *= 1 + len(parts[-1])
+    constant = masks.count(0) & 1
+    _check_cap(count - 1 + constant, max_entries)
+    product: dict[int, int] = {}
+    for part in parts:
+        # the keys of the two sums and of their cross terms are pairwise
+        # distinct, so merging them into part needs no addition
+        cross = {
+            a | b: -2 * x * y for a, x in product.items() for b, y in part.items()
+        }
+        part.update(product)
+        part.update(cross)
+        product = part
+    if constant:
+        return {0: 1} | {mask: -coeff for mask, coeff in product.items()}
+    return product
+
+
+def _components(masks: list[int]) -> list[list[int]]:
+    """The nonzero masks, grouped into components that share no variable.
+
+    Union-find over stage positions: each mask joins its stages to its
+    lowest one, so two masks land in one group exactly when a chain of
+    masks, each sharing a stage with the next, links them.
+    """
+    parent: dict[int, int] = {}
+
+    def root(stage: int) -> int:
+        while parent.setdefault(stage, stage) != stage:
+            parent[stage] = stage = parent[parent[stage]]
+        return stage
+
+    nonzero = [mask for mask in masks if mask]
+    lowest = []
+    for mask in nonzero:
+        low, *rest = _stages(mask)
+        lowest.append(low)
+        for stage in rest:
+            parent[root(stage)] = root(low)
+    groups: dict[int, list[int]] = {}
+    for mask, low in zip(nonzero, lowest):
+        groups.setdefault(root(low), []).append(mask)
+    return list(groups.values())
+
+
+def _stages(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    stages = []
+    while mask:
+        low = mask & -mask
+        stages.append(low.bit_length() - 1)
+        mask ^= low
+    return stages
+
+
+def _component_sum(
+    masks: list[int], max_entries: int, fold_cap: int
+) -> dict[int, int]:
+    """One component's signed sum, from the engine its shape picks."""
+    support = 0
+    for mask in masks:
+        support |= mask
+    k = support.bit_count()
+    n = len(masks)
+    if _dense_rule(k, n) and n << k > _FOLD_MAX_STEPS:
         return _dense_sum(masks, max_entries)
-    return _fold_sum(masks, max_entries)
+    return _fold_sum(masks, fold_cap)
+
+
+def _dense_rule(k: int, n: int) -> bool:
+    """Whether n masks over k support bits suit the dense engine: its
+    k * 2**k entry-steps then stay within the fold's n * 2**min(n, k)."""
+    return k <= _DENSE_MAX_SUPPORT and n >= k
+
+
+def _check_cap(count: int, max_entries: int, bound: str = "") -> None:
+    if count > max_entries:
+        raise ResourceLimitError(
+            f"signed sum has {bound}{count} entries, past the cap of {max_entries};"
+            " raise the cap to continue"
+        )
 
 
 def _fold_sum(masks: list[int], max_entries: int) -> dict[int, int]:
-    """The signed-sum fold of `accumulate`, one mask at a time."""
+    """The signed-sum fold of `accumulate`, one mask at a time.
+
+    Each step adds the new mask with coefficient +1 and subtracts twice the
+    common development with the sum built so far (every entry carried onto
+    its union with the new mask, whose expansion is the overlap of the two),
+    which is exactly the pairwise cancellation of the underlying expansions.
+    """
     entries: dict[int, int] = {}
     for mask in masks:
         delta: dict[int, int] = {mask: 1}
@@ -112,12 +219,7 @@ def _dense_sum(masks: list[int], max_entries: int) -> dict[int, int]:
     for j in range(len(bits)):
         pairs = coeffs.reshape(-1, 2, 1 << j)
         pairs[:, 1, :] -= pairs[:, 0, :]
-    count = int(np.count_nonzero(coeffs))
-    if count > max_entries:
-        raise ResourceLimitError(
-            f"signed sum has {count} entries, past the cap of {max_entries};"
-            " raise the cap to continue"
-        )
+    _check_cap(int(np.count_nonzero(coeffs)), max_entries)
     indices = np.flatnonzero(coeffs)
     values = coeffs[indices].tolist()
     del coeffs
@@ -137,9 +239,10 @@ def _truth_table(masks: list[int]):
     support = 0
     for mask in masks:
         support |= mask
-    bits = [b for b in range(support.bit_length()) if support >> b & 1]
+    bits = _stages(support)
     index = np.zeros(len(masks), dtype=np.int64)
-    for lo in range(0, support.bit_length(), 32):
+    # only the 32-bit words that hold support bits
+    for lo in sorted({b & -32 for b in bits}):
         word = np.fromiter(
             (mask >> lo & 0xFFFFFFFF for mask in masks), np.int64, len(masks)
         )

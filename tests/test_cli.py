@@ -568,6 +568,20 @@ class TestIntegerLimits:
         # the index is named by its digit count, not echoed
         assert len(err) <= 200 and "5000 digits" in err
 
+    @pytest.mark.parametrize(
+        "registers, function",
+        [
+            ([{"name": "m", "length": 5}], "m0 ^ m1x" + "9" * 5000),
+            ([{"name": "a", "length": 3}, {"name": "b", "length": 4}], "a0 ^ " + "9" * 5000),
+            ([{"name": "m", "length": 5}], "m0 ^ m1**m" + "9" * 5000),
+        ],
+        ids=["malformed", "no-letter", "stray-star"],
+    )
+    def test_long_token_is_cut_in_parse_errors(self, spec_file, capsys, registers, function):
+        path = spec_file({"registers": registers, "function": function})
+        err = self.assert_refused(capsys, ["analyze", path])
+        assert len(err) <= 200
+
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_more_than_10000_stages(self, spec_file, capsys, flags):
         data = {"registers": [{"name": "m", "length": 15000}], "function": "m0*m1"}

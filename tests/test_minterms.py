@@ -45,6 +45,8 @@ class TestCommonDevelopment:
         }
         # a mask's union with itself is the mask: x ^ x cancels entirely
         assert accumulate([0b0101, 0b0101], 4) == {}
+        # mask 0 is the constant 1, and 1 ^ x is 1 - x
+        assert accumulate([0, 0b10], 2) == {0: 1, 0b10: -1}
         with pytest.raises(ValidationError):
             accumulate([0b1, -1], 4)
 
@@ -181,6 +183,35 @@ def mask_lists(draw):
 
 
 @st.composite
+def component_lists(draw):
+    """(width, masks) over disjoint blocks of stages, shuffled: mask 0 and
+    duplicates are common, and so are many components."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    masks = []
+    offset = 0
+    for size in sizes:
+        block = st.integers(0, (1 << size) - 1).map(lambda m, o=offset: m << o)
+        masks += draw(st.lists(block, max_size=4))
+        offset += size
+    return offset, draw(st.permutations(masks))
+
+
+def disjoint_groups(masks):
+    """The nonzero masks merged into groups that share no stage."""
+    groups = []
+    for mask in filter(None, masks):
+        joined = [g for g in groups if g[0] & mask]
+        support = mask
+        members = [mask]
+        for g in joined:
+            groups.remove(g)
+            support |= g[0]
+            members += g[1]
+        groups.append((support, members))
+    return [members for _, members in groups]
+
+
+@st.composite
 def coprime_functions(draw):
     """A function over a coprime layout with fewer monomials than support
     bits (the fold's side of the engine switch) or at least as many."""
@@ -223,44 +254,132 @@ class TestEngines:
         cap = 1 << width
         assert minterms._dense_sum(masks, cap) == minterms._fold_sum(masks, cap)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(mask_lists(), component_lists()))
+    @example((3, [0, 0b010]))
+    @example((4, [0, 0, 0b0011, 0b1100, 0]))
+    def test_component_product_equals_fold(self, case):
+        width, masks = case
+        cap = 1 << width
+        result = accumulate(masks, width, max_entries=cap)
+        assert result == minterms._fold_sum(masks, cap)
+        # drawn orders are arbitrary, so each one matching sorted order
+        # means no order matters
+        assert accumulate(sorted(masks), width, max_entries=cap) == result
+        product = 1
+        for group in disjoint_groups(masks):
+            product *= 1 + len(minterms._fold_sum(group, cap))
+        constant = masks.count(0) % 2
+        assert len(result) == product - 1 + constant
+
     @settings(max_examples=150, deadline=None)
     @given(coprime_functions())
     def test_count_matches_truth_table_on_both_sides_of_the_switch(self, f):
         assert analyze(f).ones == count_ones_truthtable(f)
 
     def test_dense_guard_names_the_final_entry_count(self):
+        # one component, m0 ^ m0*m1 ^ ... ^ m0*m21 (k = n = 22), whose sum
+        # m0 * (1 - INF(m1 ^ ... ^ m21)) has 2**21 entries
         with pytest.raises(ResourceLimitError) as info:
-            accumulate([1 << i for i in range(22)], 22)
+            accumulate([1] + [1 | 1 << i for i in range(1, 22)], 22)
         assert info.value.exit_code == 4
-        assert str((1 << 22) - 1) in str(info.value)
+        assert str(1 << 21) in str(info.value)
         assert str(minterms.DEFAULT_MAX_SUM_ENTRIES) in str(info.value)
 
     def test_dense_cap_bounds_the_final_sum(self):
-        # the fold's running sum would reach 1023 entries before cancelling
-        masks = [1 << i for i in range(10)] * 2
-        assert accumulate(masks, 10, max_entries=100) == {}
+        # one component, k = 11 and n = 20: the fold's running sum would
+        # reach 1023 entries before cancelling
+        masks = [1 | 1 << i for i in range(1, 11)] * 2
+        assert accumulate(masks, 11, max_entries=100) == {}
 
     def test_fold_serves_sparse_and_wide_supports(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("dense engine chosen")
 
+        # one component of 5 variables spread over 128 stages, 3 monomials
         wide = parse_function(
-            "m127*m64 ^ m100*m55*m3 ^ m0", RegisterLayout.single(128)
+            "m127*m64 ^ m100*m64*m3 ^ m3*m0", RegisterLayout.single(128)
         )
+        # five components of 4 variables, 1 monomial each
         sparse = parse_function(
             "m0*m1*m2*m3 ^ m4*m5*m6*m7 ^ m8*m9*m10*m11 ^ m12*m13*m14*m15"
             " ^ m16*m17*m18*m19",
             RegisterLayout.single(20),
         )
-        expected = exact_ones_multi(
-            minterms._dense_sum(sorted(sparse.terms), 1 << 20), sparse.layout
-        )
+        expected = [
+            exact_ones_multi(minterms._dense_sum(sorted(f.terms), 1 << 20), f.layout)
+            for f in (wide, sparse)
+        ]
         monkeypatch.setattr(minterms, "_dense_sum", refuse)
-        assert analyze(wide).ones == 1 << 127
-        assert analyze(sparse).ones == expected
-        # k = 26 > 24 with n >= k: the fold runs and its running cap trips
+        assert [analyze(wide).ones, analyze(sparse).ones] == expected
+        # one component, m0*m1 ^ ... ^ m0*m25: k = 26 > 24 with n < k, so the
+        # fold runs, and its running cap trips
         with pytest.raises(ResourceLimitError, match="grew past"):
-            accumulate([1 << i for i in range(26)], 26, max_entries=1000)
+            accumulate([1 | 1 << i for i in range(1, 26)], 26, max_entries=1000)
+
+    @pytest.fixture
+    def dense_widths(self, monkeypatch):
+        """Support width of every component the dense engine transforms."""
+        dense_sum = minterms._dense_sum
+        widths = []
+
+        def recording(masks, max_entries):
+            support = 0
+            for mask in masks:
+                support |= mask
+            widths.append(support.bit_count())
+            return dense_sum(masks, max_entries)
+
+        monkeypatch.setattr(minterms, "_dense_sum", recording)
+        return widths
+
+    def test_guard_refuses_disjoint_singletons_before_any_wide_transform(
+        self, dense_widths
+    ):
+        # 24 components of one entry each: (1 + 1)**24 - 1 entries in the
+        # end, and building stops at the 20th, once 2**20 - 1 passes the cap
+        with pytest.raises(ResourceLimitError) as info:
+            accumulate([1 << i for i in range(24)], 24)
+        assert info.value.exit_code == 4
+        assert f"at least {(1 << 20) - 1} entries" in str(info.value)
+        assert str(minterms.DEFAULT_MAX_SUM_ENTRIES) in str(info.value)
+        assert not [width for width in dense_widths if width > 1]
+
+    def test_guard_stops_building_once_the_product_passes_the_cap(
+        self, dense_widths
+    ):
+        # five components m_a ^ m_a*m_(a+1) ^ ... ^ m_a*m_(a+10), k = n = 11
+        # and 2**10 entries each: two of them make 1025**2 - 1 entries
+        component = [1] + [1 | 1 << i for i in range(1, 11)]
+        masks = [mask << 12 * c for c in range(5) for mask in component]
+        with pytest.raises(ResourceLimitError) as info:
+            accumulate(masks, 60, max_entries=100_000)
+        assert f"at least {1025**2 - 1} entries" in str(info.value)
+        assert dense_widths == [11, 11]
+
+    def test_cap_bounds_the_final_sum_not_a_cancelling_fold(self):
+        # each stage appears twice and cancels; a fold over all 52 masks
+        # would hold 2**26 - 1 entries before the second half cancels them
+        masks = [1 << i for i in range(26)] * 2
+        assert accumulate(masks, 26, max_entries=1000) == {}
+
+    def test_folded_component_of_a_dense_rule_list_has_no_running_cap(self):
+        # the whole list (k = 6, n = 7) meets the dense rule, whose cap bounds
+        # the final sum alone; its component 832 ^ 800 ^ 800 (k = 4, n = 3)
+        # folds, through a running sum of 3 entries, to 1 entry
+        masks = [832, 8, 800, 9, 800, 8, 9]
+        assert accumulate(masks, 10, max_entries=2) == {832: 1}
+
+    def test_components_within_1024_fold_steps_skip_the_transform(
+        self, dense_widths
+    ):
+        # m0 (k = n = 1, 2 fold steps), m1*m2 ^ m2*m3 ^ m3 (k = n = 3, 24)
+        # and m4 ^ m4*m5 ^ ... ^ m4*m11 (k = n = 8, 2048)
+        masks = [1, 0b0110, 0b1100, 0b1000, 1 << 4]
+        masks += [1 << 4 | 1 << i for i in range(5, 12)]
+        cap = 1 << 12
+        assert accumulate(masks, 12) == minterms._fold_sum(masks, cap)
+        assert dense_widths == [8]
 
 
 class TestExactOnes:
