@@ -47,12 +47,24 @@ _ANCHORS = (
 
 @dataclass(frozen=True)
 class VerdictPolicy:
-    """Accept when |ones - T/2| <= tolerance * T, compared exactly."""
+    """Accept when |ones - T/2| <= tolerance * T, compared exactly.
 
-    relative_tolerance: Fraction = DEFAULT_TOLERANCE
+    The tolerance is a Fraction, an int, or text such as "1/100" or "0.01";
+    a float or bool is refused, since it cannot carry an exact fraction.
+    """
+
+    relative_tolerance: Fraction | int | str = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
-        tol = Fraction(self.relative_tolerance)
+        raw = self.relative_tolerance
+        try:
+            if isinstance(raw, bool) or not isinstance(raw, (Fraction, int, str)):
+                raise TypeError
+            tol = Fraction(raw)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValidationError(
+                f'tolerance must be a fraction like "1/100", got {raw!r}'
+            ) from None
         object.__setattr__(self, "relative_tolerance", tol)
         if not 0 <= tol <= Fraction(1, 2):
             raise ValidationError("tolerance must lie in [0, 1/2]")

@@ -10,9 +10,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .analyzer import (
@@ -39,7 +36,7 @@ from .lfsr import (
     require_maximum_length,
 )
 from .minterms import DEFAULT_MAX_SUM_ENTRIES, minterm_expansion
-from .specfile import GeneratorSpec, load_spec
+from .specfile import load_spec
 
 ENV_MAX_PERIOD = "BALANCEGATE_MAX_PERIOD"
 
@@ -159,27 +156,14 @@ def _resolve_budget() -> int:
     return value
 
 
-def _resolve_policy(args, spec: GeneratorSpec) -> VerdictPolicy:
-    if getattr(args, "tolerance", None) is not None:
-        try:
-            tol = Fraction(args.tolerance.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(
-                f"--tolerance must be a fraction like 1/100, got {args.tolerance!r}"
-            ) from None
-        return VerdictPolicy(tol)
-    if spec.tolerance is not None:
-        return VerdictPolicy(spec.tolerance)
-    return VerdictPolicy()
-
-
 class _DumpWriter:
     def __init__(self, stream):
         self.stream = stream
         self.pending = ""
 
-    def feed(self, bits: np.ndarray) -> None:
-        digits = (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    def feed(self, bits) -> None:
+        """Append a uint8 array of 0s and 1s."""
+        digits = (bits + ord("0")).tobytes().decode("ascii")
         text = self.pending + digits
         end = len(text) - len(text) % 64
         if end:
@@ -221,7 +205,8 @@ def _print_report(report: AnalysisReport) -> None:
 
 def _cmd_analyze(args) -> int:
     spec = load_spec(args.spec)
-    policy = _resolve_policy(args, spec)
+    tolerance = spec.tolerance if args.tolerance is None else args.tolerance
+    policy = VerdictPolicy() if tolerance is None else VerdictPolicy(tolerance)
     report = analyze(spec.function(), policy, max_sum_entries=args.max_h_entries)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
@@ -248,14 +233,11 @@ def _cmd_simulate(args) -> int:
     spec = load_spec(args.spec)
     g = spec.instance(notice=_notice)
     budget = _resolve_budget()
-    if args.full_period:
-        if not args.trust_poly:
-            require_maximum_length(g)
-        steps = g.layout.period()
-    else:
-        if args.steps < 0:
-            raise ValidationError("--steps must be non-negative")
-        steps = args.steps
+    steps = g.layout.period() if args.full_period else args.steps
+    # a walk that cannot run is refused here, before any --trust-poly hint
+    chunks = iter_output_chunks(g, steps)
+    if args.full_period and not args.trust_poly:
+        require_maximum_length(g)
     if steps > budget:
         raise ResourceLimitError(
             f"{steps} steps exceed the simulation budget {budget}"
@@ -264,7 +246,7 @@ def _cmd_simulate(args) -> int:
 
     writer = _DumpWriter(sys.stdout) if args.dump else None
     total = 0
-    for chunk in iter_output_chunks(g, steps):
+    for chunk in chunks:
         total += int(chunk.sum())
         if writer:
             writer.feed(chunk)
@@ -278,7 +260,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     f = spec.function()
-    period = f.layout.period()
 
     symbolic = analyze(f, max_sum_entries=args.max_h_entries).ones
     print(f"symbolic:    {symbolic}")
@@ -302,23 +283,23 @@ def _cmd_verify(args) -> int:
         ),
         None,
     )
-    if period > budget:
-        print(
-            f"simulated:   skipped (period {period} exceeds the simulation"
-            f" budget {budget})"
-        )
-    elif unpinned is not None:
+    if unpinned is not None:
         print(
             f"simulated:   skipped (register {unpinned.name}: no built-in"
             f" maximum-length polynomial for length {unpinned.length})"
         )
     else:
-        g = spec.instance(notice=_notice)
-        simulated = count_ones_simulated(
-            g, max_steps=budget, verify_polynomials=not args.trust_poly
-        )
-        results.append(simulated)
-        print(f"simulated:   {simulated}")
+        try:
+            simulated = count_ones_simulated(
+                spec.instance(notice=_notice),
+                max_steps=budget,
+                verify_polynomials=not args.trust_poly,
+            )
+        except ResourceLimitError as exc:
+            print(f"simulated:   skipped ({exc})")
+        else:
+            results.append(simulated)
+            print(f"simulated:   {simulated}")
 
     if len(results) < 2:
         raise ValidationError(

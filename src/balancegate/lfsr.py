@@ -31,7 +31,6 @@ __all__ = [
     "GeneratorInstance",
     "lfsr_step",
     "state_cycle",
-    "generate_output",
     "iter_output_chunks",
     "count_ones_simulated",
     "count_ones_truthtable",
@@ -186,28 +185,6 @@ def state_cycle(config: LfsrConfig) -> list[int]:
     return states
 
 
-def generate_output(g: GeneratorInstance, steps: int) -> list[int]:
-    """First `steps` output bits, all registers clocking simultaneously.
-
-    Plain per-step reference path; the chunked path used for full-period
-    counting is cross-checked against it.
-    """
-    if steps < 0:
-        raise ValidationError("steps must be non-negative")
-    states = [cfg.initial_state for cfg in g.lfsrs]
-    offsets = [reg.offset for reg in g.layout.registers]
-    evaluate = g.function.evaluate
-    out = []
-    for _ in range(steps):
-        joint = 0
-        for s, off in zip(states, offsets):
-            joint |= s << off
-        out.append(evaluate(joint))
-        for i, cfg in enumerate(g.lfsrs):
-            _, states[i] = lfsr_step(states[i], cfg)
-    return out
-
-
 def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]:
     """Output bits as uint8 arrays, built from the stepped per-register walks.
 
@@ -217,6 +194,11 @@ def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]
     The joint state at step t is then a pure reindexing of the walks, packed
     from only the stages the function reads, so the function may read at most
     62 of them; the combination is vectorized.
+
+    Raises, at the call and before any register is walked:
+        ValidationError: steps is negative.
+        ResourceLimitError: the function reads more than 62 stages, or a
+            register it reads would walk more than 2**24 states.
     """
     if steps < 0:
         raise ValidationError("steps must be non-negative")
@@ -230,7 +212,7 @@ def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]
             f"function reads {len(read)} stages, too many to pack joint states"
             " for vectorized output"
         )
-    walks = []
+    walked = []
     for cfg, reg in zip(g.lfsrs, g.layout.registers):
         stages = [
             (k, b - reg.offset)
@@ -239,24 +221,32 @@ def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]
         ]
         if not stages:
             continue
-        period = (1 << cfg.length) - 1
-        count = min(steps, period)
+        count = min(steps, (1 << cfg.length) - 1)
         if count > _VECTOR_CYCLE_CAP:
             raise ResourceLimitError(
                 f"register {reg.name}: {count} states too many to materialize"
                 " for vectorized output"
             )
-        states = state_cycle(cfg) if steps > period else _walk(cfg, count)[0]
+        walked.append((cfg, stages))
+    terms = [
+        sum(1 << i for i, b in enumerate(read) if t >> b & 1)
+        for t in sorted(g.function.terms)
+    ]
+    return _output_chunks(walked, terms, steps)
+
+
+def _output_chunks(walked: list, terms: list[int], steps: int) -> Iterator[np.ndarray]:
+    """iter_output_chunks' walk and yield, once its limits have been checked."""
+    walks = []
+    for cfg, stages in walked:
+        period = (1 << cfg.length) - 1
+        states = state_cycle(cfg) if steps > period else _walk(cfg, steps)[0]
         # a state of more than 62 stages does not fit int64: project it first
         raw = np.array(states, dtype=np.int64 if cfg.length <= 62 else object)
         walk = np.zeros(len(states), dtype=np.int64)
         for k, i in stages:
             walk |= ((raw >> i) & 1).astype(np.int64) << k
         walks.append(walk)
-    terms = [
-        sum(1 << i for i, b in enumerate(read) if t >> b & 1)
-        for t in sorted(g.function.terms)
-    ]
     start = 0
     while start < steps:
         n = min(_CHUNK, steps - start)
@@ -284,23 +274,24 @@ def count_ones_simulated(
     the state order, neither changes the multiset of joint states visited.
 
     Raises:
-        ResourceLimitError: if the full period exceeds the step budget.
-        ValidationError: if a polynomial fails maximum-length verification.
-        UnverifiedPolynomialError: if one cannot be verified and
-            verify_polynomials was left on.
+        ResourceLimitError: before any register is walked, when the full
+            period exceeds the step budget, or the function reads more than
+            62 stages or a register of more than 24 stages.
+        UnverifiedPolynomialError: a polynomial cannot be verified and
+            verify_polynomials was left on; checked after the limits above.
+        ValidationError: a polynomial fails maximum-length verification, or,
+            with verify_polynomials off, a walk does not return to its seed.
     """
     period = g.layout.period()
     budget = DEFAULT_SIMULATION_BUDGET if max_steps is None else max_steps
     if period > budget:
         raise ResourceLimitError(
-            f"full period {period} exceeds the simulation budget {budget}"
+            f"period {period} exceeds the simulation budget {budget}"
         )
+    chunks = iter_output_chunks(g, period)
     if verify_polynomials:
         require_maximum_length(g)
-    total = 0
-    for bits in iter_output_chunks(g, period):
-        total += int(bits.sum())
-    return total
+    return sum(int(bits.sum()) for bits in chunks)
 
 
 def count_ones_truthtable(f: AnfFunction) -> int:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .analyzer import VerdictPolicy
 from .anf import AnfFunction, RegisterLayout, parse_function
 from .errors import ValidationError
 from .lfsr import GeneratorInstance, LfsrConfig
@@ -128,7 +129,7 @@ def parse_spec(data) -> GeneratorSpec:
 
     tolerance = None
     if "tolerance" in data:
-        tolerance = _parse_tolerance(data["tolerance"])
+        tolerance = VerdictPolicy(data["tolerance"]).relative_tolerance
 
     spec = GeneratorSpec(registers, function_text, tolerance)
     spec.layout()  # surface name/length problems at load time
@@ -170,22 +171,3 @@ def _parse_register(entry, index: int) -> RegisterSpec:
             )
         initial_state = int(raw[::-1], 2)
     return RegisterSpec(name, length, polynomial, initial_state)
-
-
-def _parse_tolerance(raw) -> Fraction:
-    if isinstance(raw, bool):
-        raise ValidationError('"tolerance" must be a fraction string or number')
-    try:
-        if isinstance(raw, str):
-            tol = Fraction(raw.strip())
-        elif isinstance(raw, int):
-            tol = Fraction(raw)
-        else:
-            raise TypeError
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise ValidationError(
-            f'"tolerance" must be a fraction like "1/100", got {raw!r}'
-        ) from None
-    if not 0 <= tol <= Fraction(1, 2):
-        raise ValidationError('"tolerance" must lie in [0, 1/2]')
-    return tol

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 from balancegate.anf import AnfFunction, RegisterLayout
+from balancegate.errors import ValidationError
+from balancegate.lfsr import GeneratorInstance, lfsr_step
 from balancegate.minterms import minterm_expansion
 
 # multi-register shapes with pairwise coprime lengths, total width <= 14
@@ -89,3 +91,25 @@ def naive_ones_count(f: AnfFunction) -> int:
                 acc ^= 1
         total += acc
     return total
+
+
+def generate_output(g: GeneratorInstance, steps: int) -> list[int]:
+    """First `steps` output bits, all registers clocking simultaneously.
+
+    Plain per-step reference path; the chunked `lfsr.iter_output_chunks` is
+    cross-checked against it.
+    """
+    if steps < 0:
+        raise ValidationError("steps must be non-negative")
+    states = [cfg.initial_state for cfg in g.lfsrs]
+    offsets = [reg.offset for reg in g.layout.registers]
+    evaluate = g.function.evaluate
+    out = []
+    for _ in range(steps):
+        joint = 0
+        for s, off in zip(states, offsets):
+            joint |= s << off
+        out.append(evaluate(joint))
+        for i, cfg in enumerate(g.lfsrs):
+            _, states[i] = lfsr_step(states[i], cfg)
+    return out

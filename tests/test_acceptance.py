@@ -20,13 +20,13 @@ from balancegate.lfsr import (
     PRIMITIVE_POLYNOMIALS,
     count_ones_simulated,
     count_ones_truthtable,
-    generate_output,
 )
 from balancegate.minterms import minterm_expansion
 from conftest import (
     COPRIME_SHAPES,
     expansion,
     family_layout,
+    generate_output,
     geffe_layout,
     isolated_term_function,
     minterm_function,

@@ -30,9 +30,16 @@ class TestVerdictPolicy:
         assert VerdictPolicy().relative_tolerance == Fraction(1, 100)
         assert VerdictPolicy("3/200").relative_tolerance == Fraction(3, 200)
         assert VerdictPolicy(0).relative_tolerance == 0
+        assert VerdictPolicy(" 1/14 ").relative_tolerance == Fraction(1, 14)
+        assert VerdictPolicy("0.01").relative_tolerance == Fraction(1, 100)
 
     @pytest.mark.parametrize("tol", ["51/100", "-1/100", 1])
     def test_rejects_out_of_range(self, tol):
+        with pytest.raises(ValidationError):
+            VerdictPolicy(tol)
+
+    @pytest.mark.parametrize("tol", [0.01, True, "lots", "1/0"])
+    def test_rejects_floats_bools_and_bad_text(self, tol):
         with pytest.raises(ValidationError):
             VerdictPolicy(tol)
 

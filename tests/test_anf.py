@@ -167,10 +167,24 @@ def _random_layout(rng):
     return RegisterLayout.from_lengths(rng.choice(COPRIME_SHAPES))
 
 
+# registers past 10 stages, whose stage indices render with two or three digits
+_WIDE_SHAPES = [
+    (("a", 11), ("b", 13)),
+    (("m", 128),),
+    (("a", 29), ("b", 31), ("c", 32), ("d", 33)),
+]
+
+
+def _round_trip_layouts(rng):
+    for _ in range(300):
+        yield _random_layout(rng)
+    for shape in _WIDE_SHAPES * 20:
+        yield RegisterLayout.from_lengths(list(shape))
+
+
 def test_parse_render_round_trip():
     rng = random.Random(1001)
-    for _ in range(300):
-        layout = _random_layout(rng)
+    for layout in _round_trip_layouts(rng):
         f = random_function(rng, layout)
         if not f.terms:
             continue

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balancegate import lfsr
 from balancegate.analyzer import RULE_ISOLATED_LINEAR_TERM, SEVERITY_WARNING, analyze
 from balancegate.anf import AnfFunction, RegisterLayout
 from balancegate.cli import _DumpWriter, main
-from balancegate.lfsr import PRIMITIVE_POLYNOMIALS, generate_output
+from balancegate.lfsr import PRIMITIVE_POLYNOMIALS
 from balancegate.specfile import parse_spec
-from conftest import COPRIME_SHAPES
+from conftest import COPRIME_SHAPES, generate_output
 
 GEFFE_SPEC = {
     "registers": [
@@ -63,6 +64,12 @@ WIDE_LAYOUT_SPEC = {
 LONG_REGISTER_SPEC = {
     "registers": [{"name": "m", "length": 70, "polynomial": [70, 69, 55, 54, 0]}],
     "function": "m69*m0 ^ m35 ^ m1*m2*m68",
+}
+
+# a full period walks 2**25 - 1 states of m, past the 2**24 states a walk may hold
+LONG_WALK_SPEC = {
+    "registers": [{"name": "m", "length": 25, "polynomial": [25, 3, 0]}],
+    "function": "m0",
 }
 
 
@@ -340,6 +347,21 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert "does not return to the seed" in captured.err
 
+    @pytest.mark.parametrize("trust", [[], ["--trust-poly"]])
+    def test_walk_past_the_state_cap_is_refused_before_any_walk(
+        self, spec_file, capsys, monkeypatch, trust
+    ):
+        calls = []
+        monkeypatch.setattr(lfsr, "state_cycle", lambda *a: calls.append(a))
+        monkeypatch.setattr(lfsr, "_walk", lambda *a: calls.append(a))
+        code = main(["simulate", spec_file(LONG_WALK_SPEC), "--full-period", *trust])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert calls == []
+        assert captured.out == ""
+        assert "register m: 33554431 states too many" in captured.err
+        assert "--trust-poly" not in captured.err
+
     def test_steps_and_full_period_conflict(self, spec_file, capsys):
         with pytest.raises(SystemExit) as info:
             main(["simulate", spec_file(GEFFE_SPEC), "--steps", "5", "--full-period"])
@@ -386,6 +408,9 @@ class TestVerifyCommand:
         assert code == 0
         assert "simulated:   skipped" in out
         assert "agreement:   PASS" in out
+        assert out.splitlines()[2] == (
+            "simulated:   skipped (period 651 exceeds the simulation budget 100)"
+        )
 
     @pytest.mark.parametrize("length", [17, 20])
     def test_register_without_a_polynomial_skips_simulation(
@@ -405,6 +430,29 @@ class TestVerifyCommand:
         data["registers"][0]["polynomial"] = [length, 0]
         assert main(["verify", spec_file(data)]) == 2
         assert "not maximum-length" in capsys.readouterr().err
+
+    def test_missing_polynomial_is_named_over_the_budget(
+        self, spec_file, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("BALANCEGATE_MAX_PERIOD", "100")
+        data = {"registers": [{"name": "m", "length": 17}], "function": "m0"}
+        assert main(["verify", spec_file(data)]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == (
+            "simulated:   skipped (register m: no built-in maximum-length"
+            " polynomial for length 17)"
+        )
+
+    @pytest.mark.parametrize("trust", [[], ["--trust-poly"]])
+    def test_walk_past_the_state_cap_is_a_skip_note(self, spec_file, capsys, trust):
+        code = main(["verify", spec_file(LONG_WALK_SPEC), *trust])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.endswith(
+            "simulated:   skipped (register m: 33554431 states too many to"
+            " materialize for vectorized output)\n"
+        )
+        assert "nothing to verify" in captured.err
+        assert "--trust-poly" not in captured.err
 
     def test_no_oracle_available(self, spec_file, capsys, monkeypatch):
         monkeypatch.setenv("BALANCEGATE_MAX_PERIOD", "100")

@@ -17,7 +17,6 @@ from balancegate.lfsr import (
     PRIMITIVE_POLYNOMIALS,
     count_ones_simulated,
     count_ones_truthtable,
-    generate_output,
     iter_output_chunks,
     lfsr_step,
     state_cycle,
@@ -25,6 +24,7 @@ from balancegate.lfsr import (
 )
 from conftest import (
     COPRIME_SHAPES,
+    generate_output,
     geffe_layout,
     minterm_function,
     naive_ones_count,
@@ -169,6 +169,33 @@ class TestGeneratorOutput:
                 chunks = list(iter_output_chunks(g, steps))
                 flat = [int(b) for arr in chunks for b in arr]
                 assert flat == generate_output(g, steps)
+
+    @pytest.mark.parametrize(
+        "config, text, steps, error",
+        [
+            (WORKED, "m0", -1, ValidationError),
+            # 2**25 - 1 states of the register the function reads
+            (LfsrConfig(25, frozenset({25, 3, 0})), "m0", 1 << 25, ResourceLimitError),
+            # 63 stages read, one past what packs into an int64 joint state
+            (
+                LfsrConfig(70, frozenset({70, 69, 55, 54, 0})),
+                "*".join(f"m{i}" for i in range(63)),
+                1,
+                ResourceLimitError,
+            ),
+        ],
+        ids=["negative-steps", "state-cap", "pack-limit"],
+    )
+    def test_limits_raise_when_called(self, monkeypatch, config, text, steps, error):
+        def walked(*args):
+            raise AssertionError("a register was walked")
+
+        monkeypatch.setattr(lfsr, "state_cycle", walked)
+        monkeypatch.setattr(lfsr, "_walk", walked)
+        g = single_register_generator(text, config)
+        # the call alone raises; no item is ever requested
+        with pytest.raises(error):
+            iter_output_chunks(g, steps)
 
     def test_instance_validation(self):
         layout = geffe_layout()
