@@ -6,10 +6,11 @@ decision boundary.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .anf import AnfFunction, RegisterLayout
+from .anf import AnfFunction, RegisterLayout, _shown
 from .errors import ValidationError
 from .minterms import DEFAULT_MAX_SUM_ENTRIES, accumulate, exact_ones_multi
 
@@ -35,6 +36,10 @@ RULE_ISOLATED_LINEAR_TERM = "ISOLATED_LINEAR_TERM"
 RULE_ALL_LINEAR_TERMS = "ALL_LINEAR_TERMS"
 RULE_COMMON_FACTOR = "COMMON_FACTOR"
 
+# the tolerance texts Fraction is given: an integer, p/q or a decimal, so no
+# exponent makes it build a huge power of ten
+_TOLERANCE_TEXT = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?\s*")
+
 # magnitude anchors in quarter-periods, with their display tags
 _ANCHORS = (
     (0, "≈ 0"),
@@ -49,21 +54,27 @@ _ANCHORS = (
 class VerdictPolicy:
     """Accept when |ones - T/2| <= tolerance * T, compared exactly.
 
-    The tolerance is a Fraction, an int, or text such as "1/100" or "0.01";
-    a float or bool is refused, since it cannot carry an exact fraction.
+    The tolerance is a Fraction, an int, or text of at most 100 characters
+    that is an integer, p/q or a decimal such as "1/100" or "0.01", with
+    optional sign and surrounding whitespace; a float or bool is refused,
+    since it cannot carry an exact fraction, and so is any other text.
     """
 
     relative_tolerance: Fraction | int | str = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         raw = self.relative_tolerance
+        text = isinstance(raw, str)
         try:
+            if text and not (len(raw) <= 100 and _TOLERANCE_TEXT.fullmatch(raw)):
+                raise ValueError
             if isinstance(raw, bool) or not isinstance(raw, (Fraction, int, str)):
                 raise TypeError
             tol = Fraction(raw)
         except (TypeError, ValueError, ZeroDivisionError):
+            shown = _shown(raw) if text else repr(raw)
             raise ValidationError(
-                f'tolerance must be a fraction like "1/100", got {raw!r}'
+                f'tolerance must be a fraction like "1/100", got {shown}'
             ) from None
         object.__setattr__(self, "relative_tolerance", tol)
         if not 0 <= tol <= Fraction(1, 2):
@@ -99,6 +110,7 @@ class AnalysisReport:
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict; counts as decimal strings, rationals as p/q."""
+        masks = sorted(self.final_sum)
         return {
             "function": self.function_text,
             "registers": [
@@ -123,8 +135,8 @@ class AnalysisReport:
                 for f in self.findings
             ],
             "sum": [
-                {"mask": self.layout.format_mask(mask), "coefficient": str(coeff)}
-                for mask, coeff in sorted(self.final_sum.items())
+                {"mask": text, "coefficient": str(self.final_sum[mask])}
+                for mask, text in zip(masks, self.layout.format_masks(masks))
             ],
         }
 

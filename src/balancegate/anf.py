@@ -125,12 +125,9 @@ class RegisterLayout:
         reg = self.register_of(bit)
         return f"{reg.name}{bit - reg.offset}"
 
-    def format_mask(self, mask: int) -> str:
-        """Grouped bit-string form, one group per register, first register rightmost."""
-        return self.format_masks([mask])[0]
-
     def format_masks(self, masks: list[int]) -> list[str]:
-        """The format_mask form of each mask, with the range checked once."""
+        """Grouped bit-string form of each mask, one group per register, first
+        register rightmost, with the range checked once."""
         length = self.total_length
         for mask in (min(masks, default=0), max(masks, default=0)):
             if not 0 <= mask < (1 << length):

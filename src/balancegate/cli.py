@@ -120,11 +120,8 @@ def _add_sum_cap(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_MAX_SUM_ENTRIES,
         metavar="N",
         help=(
-            "cap on signed-sum entries: the final sum's, checked as its"
-            " variable-disjoint components are built and before they are"
-            " multiplied out, and each component's running sum on the fold"
-            " unless the whole design reads k <= 24 variables in n >= k"
-            " monomials (default %(default)s)"
+            "cap on the entries of every signed sum the engine holds, checked"
+            " before each is built or as it grows (default %(default)s)"
         ),
     )
 
@@ -198,9 +195,11 @@ def _print_report(report: AnalysisReport) -> None:
             print(f"      {finding.message}")
     if report.final_sum:
         print("final sum:")
-        for mask, coeff in sorted(report.final_sum.items()):
+        masks = sorted(report.final_sum)
+        for mask, text in zip(masks, layout.format_masks(masks)):
+            coeff = report.final_sum[mask]
             sign = "+" if coeff > 0 else "-"
-            print(f"  {sign}[{abs(coeff)}] {layout.format_mask(mask)}")
+            print(f"  {sign}[{abs(coeff)}] {text}")
 
 
 def _cmd_analyze(args) -> int:
@@ -234,15 +233,16 @@ def _cmd_simulate(args) -> int:
     g = spec.instance(notice=_notice)
     budget = _resolve_budget()
     steps = g.layout.period() if args.full_period else args.steps
-    # a walk that cannot run is refused here, before any --trust-poly hint
-    chunks = iter_output_chunks(g, steps)
-    if args.full_period and not args.trust_poly:
-        require_maximum_length(g)
+    # the order count_ones_simulated checks in: the budget, then the walk's
+    # limits, both before any --trust-poly hint
     if steps > budget:
         raise ResourceLimitError(
             f"{steps} steps exceed the simulation budget {budget}"
             f" (set {ENV_MAX_PERIOD} to raise it)"
         )
+    chunks = iter_output_chunks(g, steps)
+    if args.full_period and not args.trust_poly:
+        require_maximum_length(g)
 
     writer = _DumpWriter(sys.stdout) if args.dump else None
     total = 0

@@ -52,12 +52,12 @@ def accumulate(
 
     The masks split into variable-disjoint components, and each component's
     sum is built on its own.  Unions of masks from disjoint components never
-    collide, so components g and h combine as g + h - 2*g*h, and sums of
-    e_1 .. e_c entries multiply out to prod(1 + e_i) - 1 entries, one more
-    when an odd number of masks is 0 (mask 0 is the constant 1, and
-    1 XOR g is 1 - g).  The running product is checked against max_entries
-    before each component is built, so building stops once it passes the
-    cap, and the final count is checked before anything is multiplied out.
+    collide, so the XOR g + h - 2*g*h of component sums of e_1 .. e_c
+    entries multiplies out to prod(1 + e_i) - 1 entries, one more when an
+    odd number of masks is 0 (mask 0 is the constant 1, and 1 XOR g is
+    1 - g).  That count is checked against max_entries before each
+    component is built, so building stops once it passes the cap, and again
+    before anything is multiplied out.
 
     A component with k support bits and n masks takes one of two engines.
     The dense engine, an integer Moebius transform over the k support
@@ -67,47 +67,32 @@ def accumulate(
     otherwise.
 
     Raises:
-        ResourceLimitError: if the final sum would hold more than max_entries
-            entries, or if one component's sum does: the dense engine checks
-            a component's final sum before building it, and the fold checks
-            its running sum after every mask.  When the whole list has
-            k <= 24 and n >= k, only final sums are bounded: the fold's
-            running sums are not.
+        ResourceLimitError: if any signed sum the engine holds would pass
+            max_entries: the fold's running sum after every mask, the dense
+            engine's final sum, or the product of the component sums.
     """
     if width < 1:
         raise ValidationError("sum width must be positive")
     masks = list(masks)
     limit = 1 << width
-    support = 0
     for mask in masks:
         if not 0 <= mask < limit:
             raise ValidationError(f"mask {mask} wider than {width} bits")
-        support |= mask
-    k = support.bit_count()
-    # a whole list the dense rule takes is bounded by its final sum alone, so
-    # its folds get a cap that no running sum over k bits reaches
-    fold_cap = 1 << k if _dense_rule(k, len(masks)) else max_entries
     parts = []
     count = 1
     for group in _components(masks):
         # a partial product's count never exceeds the final one
         _check_cap(count - 1, max_entries, "at least ")
-        parts.append(_component_sum(group, max_entries, fold_cap))
+        parts.append(_component_sum(group, max_entries))
         count *= 1 + len(parts[-1])
     constant = masks.count(0) & 1
-    _check_cap(count - 1 + constant, max_entries)
-    product: dict[int, int] = {}
-    for part in parts:
-        # the keys of the two sums and of their cross terms are pairwise
-        # distinct, so merging them into part needs no addition
-        cross = {
-            a | b: -2 * x * y for a, x in product.items() for b, y in part.items()
-        }
-        part.update(product)
-        part.update(cross)
-        product = part
     if constant:
-        return {0: 1} | {mask: -coeff for mask, coeff in product.items()}
+        parts.append({0: 1})
+    _check_cap(count - 1 + constant, max_entries)
+    # the largest sum is the base, so each XOR step copies only the smaller
+    product, *others = sorted(parts, key=len, reverse=True) or [{}]
+    for part in others:
+        _xor_into(product, part)
     return product
 
 
@@ -148,24 +133,18 @@ def _stages(mask: int) -> list[int]:
     return stages
 
 
-def _component_sum(
-    masks: list[int], max_entries: int, fold_cap: int
-) -> dict[int, int]:
+def _component_sum(masks: list[int], max_entries: int) -> dict[int, int]:
     """One component's signed sum, from the engine its shape picks."""
     support = 0
     for mask in masks:
         support |= mask
     k = support.bit_count()
     n = len(masks)
-    if _dense_rule(k, n) and n << k > _FOLD_MAX_STEPS:
+    # the dense engine's k * 2**k entry-steps stay within the fold's
+    # n * 2**min(n, k) when n >= k
+    if k <= _DENSE_MAX_SUPPORT and n >= k and n << k > _FOLD_MAX_STEPS:
         return _dense_sum(masks, max_entries)
-    return _fold_sum(masks, fold_cap)
-
-
-def _dense_rule(k: int, n: int) -> bool:
-    """Whether n masks over k support bits suit the dense engine: its
-    k * 2**k entry-steps then stay within the fold's n * 2**min(n, k)."""
-    return k <= _DENSE_MAX_SUPPORT and n >= k
+    return _fold_sum(masks, max_entries)
 
 
 def _check_cap(count: int, max_entries: int, bound: str = "") -> None:
@@ -176,31 +155,36 @@ def _check_cap(count: int, max_entries: int, bound: str = "") -> None:
         )
 
 
-def _fold_sum(masks: list[int], max_entries: int) -> dict[int, int]:
-    """The signed-sum fold of `accumulate`, one mask at a time.
+def _xor_into(g: dict[int, int], h: dict[int, int]) -> None:
+    """Turn the signed sum g into that of g XOR h: g + h - 2*g*h.
 
-    Each step adds the new mask with coefficient +1 and subtracts twice the
-    common development with the sum built so far (every entry carried onto
-    its union with the new mask, whose expansion is the overlap of the two),
-    which is exactly the pairwise cancellation of the underlying expansions.
+    The product g*h carries each pair of entries onto the union of their
+    masks, whose expansion is the overlap of the two; entries that cancel
+    drop out of g.
     """
+    delta = dict(h)
+    get = delta.get
+    for b, y in h.items():
+        y2 = 2 * y
+        for a, x in g.items():
+            union = a | b
+            delta[union] = get(union, 0) - y2 * x
+    get = g.get
+    for union, d in delta.items():
+        total = get(union, 0) + d
+        if total:
+            g[union] = total
+        else:
+            g.pop(union, None)
+
+
+def _fold_sum(masks: list[int], max_entries: int) -> dict[int, int]:
+    """The signed-sum fold of `accumulate`, one mask at a time, with its
+    running sum checked against max_entries after every mask."""
     entries: dict[int, int] = {}
     for mask in masks:
-        delta: dict[int, int] = {mask: 1}
-        for prev, coeff in entries.items():
-            union = prev | mask
-            delta[union] = delta.get(union, 0) - 2 * coeff
-        for union, d in delta.items():
-            total = entries.get(union, 0) + d
-            if total:
-                entries[union] = total
-            else:
-                entries.pop(union, None)
-        if len(entries) > max_entries:
-            raise ResourceLimitError(
-                f"signed sum grew past {max_entries} entries; raise the cap to"
-                " continue"
-            )
+        _xor_into(entries, {mask: 1})
+        _check_cap(len(entries), max_entries)
     return entries
 
 

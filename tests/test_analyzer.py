@@ -1,6 +1,7 @@
 """Verdict policy, magnitude tags, structural rules, full report assembly."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,8 @@ class TestVerdictPolicy:
         assert VerdictPolicy(0).relative_tolerance == 0
         assert VerdictPolicy(" 1/14 ").relative_tolerance == Fraction(1, 14)
         assert VerdictPolicy("0.01").relative_tolerance == Fraction(1, 100)
+        assert VerdictPolicy("+0.005\n").relative_tolerance == Fraction(1, 200)
+        assert VerdictPolicy("0").relative_tolerance == 0
 
     @pytest.mark.parametrize("tol", ["51/100", "-1/100", 1])
     def test_rejects_out_of_range(self, tol):
@@ -42,6 +45,18 @@ class TestVerdictPolicy:
     def test_rejects_floats_bools_and_bad_text(self, tol):
         with pytest.raises(ValidationError):
             VerdictPolicy(tol)
+
+    @pytest.mark.parametrize(
+        "tol", ["1e-5000", "1e-99999999", "1_0/1000", "1/" + "3" * 4998]
+    )
+    def test_reads_only_the_documented_text_forms(self, tol):
+        # an exponent would make Fraction build a huge power of ten, and the
+        # last one, though a fraction, is past 100 characters
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as info:
+            VerdictPolicy(tol)
+        assert time.perf_counter() - start < 1
+        assert len(str(info.value)) <= 200
 
 
 class TestVerdict:

@@ -67,13 +67,16 @@ class TestRegisterLayout:
         with pytest.raises(ValidationError):
             layout.variable_name(10)
 
-    def test_format_mask_groups_first_register_rightmost(self):
+    def test_format_masks_groups_first_register_rightmost(self):
         layout = geffe_layout()
-        assert layout.format_mask(0b0000100101) == "00001 001 01"
-        assert layout.format_mask(0b0000000101) == "00000 001 01"
-        assert RegisterLayout.single(3).format_mask(0b101) == "101"
+        assert layout.format_masks([0b0000100101, 0b0000000101]) == [
+            "00001 001 01",
+            "00000 001 01",
+        ]
+        assert RegisterLayout.single(3).format_masks([0b101]) == ["101"]
+        assert layout.format_masks([]) == []
         with pytest.raises(ValidationError):
-            layout.format_mask(1 << 10)
+            layout.format_masks([0b101, 1 << 10])
 
 
 class TestParsing:

@@ -165,7 +165,24 @@ class TestAnalyzeCommand:
         path = spec_file(GEFFE_SPEC)
         code = main(["analyze", path, "--max-h-entries", "2"])
         assert code == 4
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: signed sum has 3 entries, past the cap of 2; raise the cap"
+            " to continue\n"
+        )
+
+    @pytest.mark.parametrize(
+        "raw", ["1e-5000", "1e-99999999", "1_0/1000", "1/" + "3" * 4998]
+    )
+    def test_tolerance_outside_the_grammar(self, spec_file, capsys, raw):
+        flag = ["analyze", spec_file(GEFFE_SPEC), "--tolerance", raw]
+        in_file = ["analyze", spec_file(dict(GEFFE_SPEC, tolerance=raw), "tol.json")]
+        for argv in (flag, in_file):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: tolerance must be a fraction")
+            assert captured.err.count("\n") == 1
+            assert len(captured.err) <= 200
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     @pytest.mark.parametrize("cap", ["0", "-3", "many"])
@@ -288,6 +305,25 @@ class TestSimulateCommand:
         code = main(["simulate", spec_file(GEFFE_SPEC), "--full-period"])
         assert code == 4
         assert "BALANCEGATE_MAX_PERIOD" in capsys.readouterr().err
+
+    def test_budget_is_checked_before_the_polynomials(
+        self, spec_file, capsys, monkeypatch
+    ):
+        # b's degree-25 polynomial cannot be verified, and the budget refuses
+        # the full period first, as verify's simulation does
+        monkeypatch.setenv("BALANCEGATE_MAX_PERIOD", "100")
+        data = {
+            "registers": [
+                {"name": "a", "length": 3},
+                {"name": "b", "length": 25, "polynomial": [25, 3, 0]},
+            ],
+            "function": "a0",
+        }
+        code = main(["simulate", spec_file(data), "--full-period"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "exceed the simulation budget 100" in captured.err
+        assert "--trust-poly" not in captured.err
 
     @pytest.mark.parametrize("raw", ["zebra", "-5", "0"])
     def test_bad_budget_env(self, spec_file, capsys, monkeypatch, raw):

@@ -183,6 +183,15 @@ def mask_lists(draw):
 
 
 @st.composite
+def split_mask_lists(draw):
+    """(width, a, b): a mask_lists draw cut in two, so both parts share one
+    pool of masks, duplicates and mask 0 included."""
+    width, masks = draw(mask_lists())
+    cut = draw(st.integers(0, len(masks)))
+    return width, masks[:cut], masks[cut:]
+
+
+@st.composite
 def component_lists(draw):
     """(width, masks) over disjoint blocks of stages, shuffled: mask 0 and
     duplicates are common, and so are many components."""
@@ -272,6 +281,19 @@ class TestEngines:
         constant = masks.count(0) % 2
         assert len(result) == product - 1 + constant
 
+    @settings(max_examples=300, deadline=None)
+    @given(split_mask_lists())
+    @example((3, [0, 0b011], [0b011, 0b110, 0]))
+    @example((4, [0b0011, 0b0101], [0b0110, 0b0011, 0b0101]))
+    def test_xor_step_on_overlapping_sums(self, case):
+        # both operands come from one pool, so their masks and unions
+        # collide, as they never do between variable-disjoint components
+        width, a, b = case
+        cap = 1 << width
+        g = minterms._fold_sum(a, cap)
+        minterms._xor_into(g, minterms._fold_sum(b, cap))
+        assert g == minterms._fold_sum(a + b, cap)
+
     @settings(max_examples=150, deadline=None)
     @given(coprime_functions())
     def test_count_matches_truth_table_on_both_sides_of_the_switch(self, f):
@@ -314,7 +336,9 @@ class TestEngines:
         assert [analyze(wide).ones, analyze(sparse).ones] == expected
         # one component, m0*m1 ^ ... ^ m0*m25: k = 26 > 24 with n < k, so the
         # fold runs, and its running cap trips
-        with pytest.raises(ResourceLimitError, match="grew past"):
+        with pytest.raises(
+            ResourceLimitError, match="has 1023 entries, past the cap of 1000"
+        ):
             accumulate([1 | 1 << i for i in range(1, 26)], 26, max_entries=1000)
 
     @pytest.fixture
@@ -363,12 +387,16 @@ class TestEngines:
         masks = [1 << i for i in range(26)] * 2
         assert accumulate(masks, 26, max_entries=1000) == {}
 
-    def test_folded_component_of_a_dense_rule_list_has_no_running_cap(self):
-        # the whole list (k = 6, n = 7) meets the dense rule, whose cap bounds
-        # the final sum alone; its component 832 ^ 800 ^ 800 (k = 4, n = 3)
-        # folds, through a running sum of 3 entries, to 1 entry
+    def test_folded_component_of_a_dense_rule_list_has_a_running_cap(self):
+        # the whole list (k = 6, n = 7) meets the dense rule; its component
+        # 832 ^ 800 ^ 800 (k = 4, n = 3) folds, through a running sum of 3
+        # entries, to 1 entry, and the cap bounds that running sum too
         masks = [832, 8, 800, 9, 800, 8, 9]
-        assert accumulate(masks, 10, max_entries=2) == {832: 1}
+        with pytest.raises(
+            ResourceLimitError, match="has 3 entries, past the cap of 2;"
+        ):
+            accumulate(masks, 10, max_entries=2)
+        assert accumulate(masks, 10, max_entries=3) == {832: 1}
 
     def test_components_within_1024_fold_steps_skip_the_transform(
         self, dense_widths
