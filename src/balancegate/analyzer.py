@@ -57,7 +57,8 @@ class VerdictPolicy:
     The tolerance is a Fraction, an int, or text of at most 100 characters
     that is an integer, p/q or a decimal such as "1/100" or "0.01", with
     optional sign and surrounding whitespace; a float or bool is refused,
-    since it cannot carry an exact fraction, and so is any other text.
+    since it cannot carry an exact fraction, and so is any other text.  Its
+    denominator must stay below 10**100, so the report can print it.
     """
 
     relative_tolerance: Fraction | int | str = DEFAULT_TOLERANCE
@@ -79,6 +80,8 @@ class VerdictPolicy:
         object.__setattr__(self, "relative_tolerance", tol)
         if not 0 <= tol <= Fraction(1, 2):
             raise ValidationError("tolerance must lie in [0, 1/2]")
+        if tol.denominator >= 10**100:
+            raise ValidationError("tolerance denominator must stay below 10**100")
 
 
 @dataclass(frozen=True)
@@ -277,9 +280,7 @@ def analyze(
     policy = policy or VerdictPolicy()
     layout = f.layout
     period = layout.period()
-    final_sum = accumulate(
-        sorted(f.terms), layout.total_length, max_entries=max_sum_entries
-    )
+    final_sum = accumulate(f, max_entries=max_sum_entries)
     ones = exact_ones_multi(final_sum, layout)
     return AnalysisReport(
         layout=layout,

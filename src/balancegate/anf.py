@@ -62,12 +62,14 @@ class RegisterLayout:
                     f" (expected {offset})"
                 )
             offset += reg.length
+        # 2**10000 has 3011 digits, so every count and fraction of the period
+        # prints within Python's 4300-digit limit on converting an int to text
+        if offset > 10_000:
+            raise ValidationError("layout holds more than 10000 stages in all")
 
     @classmethod
     def from_lengths(cls, items) -> "RegisterLayout":
-        """Build a layout from (name, length) pairs or a name -> length mapping."""
-        if isinstance(items, dict):
-            items = list(items.items())
+        """Build a layout from (name, length) pairs."""
         regs = []
         offset = 0
         for name, length in items:
@@ -76,8 +78,8 @@ class RegisterLayout:
         return cls(tuple(regs))
 
     @classmethod
-    def single(cls, length: int, name: str = "m") -> "RegisterLayout":
-        return cls((Register(name, length, 0),))
+    def single(cls, length: int) -> "RegisterLayout":
+        return cls((Register("m", length, 0),))
 
     @property
     def total_length(self) -> int:

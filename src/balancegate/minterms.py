@@ -13,8 +13,6 @@ transform starts from lists the minterms (see `minterm_expansion`).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .anf import AnfFunction, RegisterLayout
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 
@@ -39,25 +37,22 @@ _FOLD_MAX_STEPS = 1024
 
 
 def accumulate(
-    masks: Iterable[int],
-    width: int,
-    *,
-    max_entries: int = DEFAULT_MAX_SUM_ENTRIES,
+    f: AnfFunction, *, max_entries: int = DEFAULT_MAX_SUM_ENTRIES
 ) -> dict[int, int]:
-    """Fold minterm masks into the signed sum describing their XOR combination.
+    """The signed sum describing f's monomials, folded in sorted mask order.
 
     The sum is a dict from minterm mask to its nonzero coefficient: the XOR
     combination's integer normal form, which is unique, so the result is
-    independent of the input order and of the engine that builds it.
+    independent of the fold order and of the engine that builds it.  The
+    masks are f's terms, so none is 0 and each fits the layout.
 
     The masks split into variable-disjoint components, and each component's
     sum is built on its own.  Unions of masks from disjoint components never
     collide, so the XOR g + h - 2*g*h of component sums of e_1 .. e_c
-    entries multiplies out to prod(1 + e_i) - 1 entries, one more when an
-    odd number of masks is 0 (mask 0 is the constant 1, and 1 XOR g is
-    1 - g).  That count is checked against max_entries before each
-    component is built, so building stops once it passes the cap, and again
-    before anything is multiplied out.
+    entries multiplies out to prod(1 + e_i) - 1 entries.  That count is
+    checked against max_entries before each component is built, so building
+    stops once it passes the cap, and again before anything is multiplied
+    out.
 
     A component with k support bits and n masks takes one of two engines.
     The dense engine, an integer Moebius transform over the k support
@@ -71,24 +66,14 @@ def accumulate(
             max_entries: the fold's running sum after every mask, the dense
             engine's final sum, or the product of the component sums.
     """
-    if width < 1:
-        raise ValidationError("sum width must be positive")
-    masks = list(masks)
-    limit = 1 << width
-    for mask in masks:
-        if not 0 <= mask < limit:
-            raise ValidationError(f"mask {mask} wider than {width} bits")
     parts = []
     count = 1
-    for group in _components(masks):
+    for group in _components(sorted(f.terms)):
         # a partial product's count never exceeds the final one
         _check_cap(count - 1, max_entries, "at least ")
         parts.append(_component_sum(group, max_entries))
         count *= 1 + len(parts[-1])
-    constant = masks.count(0) & 1
-    if constant:
-        parts.append({0: 1})
-    _check_cap(count - 1 + constant, max_entries)
+    _check_cap(count - 1, max_entries)
     # the largest sum is the base, so each XOR step copies only the smaller
     product, *others = sorted(parts, key=len, reverse=True) or [{}]
     for part in others:
@@ -97,7 +82,8 @@ def accumulate(
 
 
 def _components(masks: list[int]) -> list[list[int]]:
-    """The nonzero masks, grouped into components that share no variable.
+    """The masks, none of them 0, grouped into components that share no
+    variable.
 
     Union-find over stage positions: each mask joins its stages to its
     lowest one, so two masks land in one group exactly when a chain of
@@ -110,15 +96,14 @@ def _components(masks: list[int]) -> list[list[int]]:
             parent[stage] = stage = parent[parent[stage]]
         return stage
 
-    nonzero = [mask for mask in masks if mask]
     lowest = []
-    for mask in nonzero:
+    for mask in masks:
         low, *rest = _stages(mask)
         lowest.append(low)
         for stage in rest:
             parent[root(stage)] = root(low)
     groups: dict[int, list[int]] = {}
-    for mask, low in zip(nonzero, lowest):
+    for mask, low in zip(masks, lowest):
         groups.setdefault(root(low), []).append(mask)
     return list(groups.values())
 

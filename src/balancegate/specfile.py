@@ -111,10 +111,9 @@ def parse_spec(data) -> GeneratorSpec:
     if not isinstance(raw_registers, list) or not raw_registers:
         raise ValidationError('"registers" must be a non-empty list')
     registers = tuple(_parse_register(entry, i) for i, entry in enumerate(raw_registers))
-    # 2**10000 has 3011 digits, so every count and fraction of the period
-    # prints within Python's 4300-digit limit on converting an int to text
-    if sum(r.length for r in registers) > 10_000:
-        raise ValidationError('"registers" hold more than 10000 stages in all')
+    # the layout's rules, its stage cap among them, keep a huge length out
+    # of LfsrConfig
+    RegisterLayout.from_lengths([(r.name, r.length) for r in registers])
     for i, reg in enumerate(registers):
         # x^L + 1 stands in for an unpinned polynomial: it only has to be well formed
         exponents = (reg.length, 0) if reg.polynomial is None else reg.polynomial
@@ -131,9 +130,7 @@ def parse_spec(data) -> GeneratorSpec:
     if "tolerance" in data:
         tolerance = VerdictPolicy(data["tolerance"]).relative_tolerance
 
-    spec = GeneratorSpec(registers, function_text, tolerance)
-    spec.layout()  # surface name/length problems at load time
-    return spec
+    return GeneratorSpec(registers, function_text, tolerance)
 
 
 def _parse_register(entry, index: int) -> RegisterSpec:

@@ -32,6 +32,14 @@ def family_layout() -> RegisterLayout:
     return RegisterLayout.from_lengths([("a", 7), ("b", 8), ("c", 9)])
 
 
+def function_of(masks, width: int) -> AnfFunction:
+    """The function over one width-stage register whose monomials are masks,
+    which must be distinct."""
+    terms = frozenset(masks)
+    assert len(terms) == len(masks), "duplicate masks would collapse"
+    return AnfFunction(RegisterLayout.single(width), terms)
+
+
 def expansion(mask: int, length: int) -> frozenset[int]:
     """Minterms of one monomial over a length-stage register: every superset
     of its mask."""

@@ -58,6 +58,18 @@ class TestVerdictPolicy:
         assert time.perf_counter() - start < 1
         assert len(str(info.value)) <= 200
 
+    def test_denominator_stays_printable(self):
+        # str() of a 5001-digit denominator passes Python's 4300-digit limit
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="below 10\\*\\*100"):
+            VerdictPolicy(Fraction(1, 10**5000))
+        assert time.perf_counter() - start < 1
+        with pytest.raises(ValidationError):
+            VerdictPolicy(Fraction(1, 10**100))
+        f = parse_function(GEFFE, geffe_layout())
+        report = analyze(f, VerdictPolicy(Fraction(1, 10**99)))
+        assert report.to_json_dict()["tolerance"] == f"1/{10**99}"
+
 
 class TestVerdict:
     # T = 200, tolerance 1/100: |ones - 100| <= 2 accepts
@@ -242,6 +254,15 @@ class TestAnalyze:
         )
         with pytest.raises(ResourceLimitError):
             analyze(f, max_sum_entries=4)
+
+    def test_layout_stage_cap_keeps_the_report_printable(self):
+        # 2**15000 - 1 has 4516 digits, past Python's 4300-digit limit
+        with pytest.raises(ValidationError, match="more than 10000 stages"):
+            RegisterLayout.single(10_001)
+        with pytest.raises(ValidationError, match="more than 10000 stages"):
+            RegisterLayout.from_lengths([("a", 5000), ("b", 5001)])
+        f = parse_function("m0*m1", RegisterLayout.single(10_000))
+        assert analyze(f).to_json_dict()["period"] == str((1 << 10_000) - 1)
 
     def test_json_dict_shape_and_determinism(self):
         f = parse_function(GEFFE, geffe_layout())

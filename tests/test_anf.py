@@ -20,11 +20,6 @@ class TestRegisterLayout:
         ]
         assert layout.total_length == 10
 
-    def test_from_lengths_accepts_mapping(self):
-        layout = RegisterLayout.from_lengths({"m": 3})
-        assert layout.total_length == 3
-        assert layout.registers[0].name == "m"
-
     def test_single(self):
         layout = RegisterLayout.single(7)
         assert layout.registers == (Register("m", 7, 0),)

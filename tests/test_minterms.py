@@ -10,11 +10,17 @@ from balancegate.analyzer import analyze
 from balancegate.anf import AnfFunction, RegisterLayout, parse_function
 from balancegate.errors import InternalCheckError, ResourceLimitError, ValidationError
 from balancegate.lfsr import count_ones_truthtable
-from balancegate.minterms import accumulate, exact_ones_multi, minterm_expansion
+from balancegate.minterms import (
+    DEFAULT_MAX_SUM_ENTRIES,
+    accumulate,
+    exact_ones_multi,
+    minterm_expansion,
+)
 from balancegate import minterms
 from conftest import (
     COPRIME_SHAPES,
     expansion,
+    function_of,
     geffe_layout,
     minterm_function,
     random_function,
@@ -32,23 +38,26 @@ A0C0 = A0 | C0
 A0B0C0 = A0 | B0 | C0
 
 
+def fold(masks):
+    """The fold of a mask list, duplicates and mask 0 allowed, in list order."""
+    return minterms._fold_sum(masks, DEFAULT_MAX_SUM_ENTRIES)
+
+
 class TestCommonDevelopment:
-    """accumulate subtracts twice each entry carried onto its union with the
+    """The fold subtracts twice each entry carried onto its union with the
     new mask; these pin that step through the fold itself."""
 
     def test_mask_union(self):
         # the shared minterm of a pair is their bitwise union, subtracted twice
-        assert accumulate([0b0011, 0b1001], 4) == {
+        assert fold([0b0011, 0b1001]) == {
             0b0011: 1,
             0b1001: 1,
             0b1011: -2,
         }
         # a mask's union with itself is the mask: x ^ x cancels entirely
-        assert accumulate([0b0101, 0b0101], 4) == {}
+        assert fold([0b0101, 0b0101]) == {}
         # mask 0 is the constant 1, and 1 ^ x is 1 - x
-        assert accumulate([0, 0b10], 2) == {0: 1, 0b10: -1}
-        with pytest.raises(ValidationError):
-            accumulate([0b1, -1], 4)
+        assert fold([0, 0b10]) == {0: 1, 0b10: -1}
 
     def test_union_is_shared_expansion(self):
         # the expansion of the union is exactly the overlap of the expansions
@@ -57,45 +66,41 @@ class TestCommonDevelopment:
             assert shared == expansion(a | b, 4)
 
     def test_sum_carries_coefficients_onto_unions(self):
-        before = accumulate([A0B0, B0C0], 10)
-        after = accumulate([A0B0, B0C0, C0], 10)
+        before = accumulate(function_of([A0B0, B0C0], 10))
+        after = accumulate(function_of([A0B0, B0C0, C0], 10))
         step = {m: after.get(m, 0) - before.get(m, 0) for m in before.keys() | after}
         # +c0, minus twice the common development {b0c0: 1, a0b0c0: -1}
         assert {m: d for m, d in step.items() if d} == {C0: 1, B0C0: -2, A0B0C0: 2}
 
     def test_sum_collapses_colliding_unions(self):
         # 0011 and 1111 both land on unions already held and cancel to zero
-        h = accumulate([0b1100, 0b0011, 0b0011], 4)
+        h = fold([0b1100, 0b0011, 0b0011])
         assert h == {0b1100: 1}
-
-    def test_rejects_wide_mask(self):
-        with pytest.raises(ValidationError):
-            accumulate([0b1, 0b1000], 3)
 
 
 class TestAccumulate:
     def test_single_register_example(self):
         f = parse_function(TOY, RegisterLayout.single(3))
-        h = accumulate(f.terms, 3)
+        h = accumulate(f)
         assert h == {0b101: 1, 0b110: -1, 0b010: 1}
 
     def test_single_register_intermediate(self):
         # after the first two masks, before the final one cancels the triple
-        h = accumulate([0b101, 0b110], 3)
+        h = accumulate(function_of([0b101, 0b110], 3))
         assert h == {0b101: 1, 0b110: 1, 0b111: -2}
 
     def test_geffe_masks(self):
-        h = accumulate([A0B0, B0C0, C0], 10)
+        h = accumulate(function_of([A0B0, B0C0, C0], 10))
         assert h == {A0B0: 1, C0: 1, B0C0: -1}
 
     def test_two_mask_intermediate(self):
-        h = accumulate([A0B0, B0C0], 10)
+        h = accumulate(function_of([A0B0, B0C0], 10))
         assert h == {A0B0: 1, B0C0: 1, A0B0C0: -2}
 
     def test_all_terms_function_with_all_linear_terms(self):
         # six masks, coefficients settle to +1 on the linear and -1 on the
         # quadratic minterms
-        h = accumulate([A0B0, B0C0, A0C0, A0, B0, C0], 10)
+        h = accumulate(function_of([A0B0, B0C0, A0C0, A0, B0, C0], 10))
         assert h == {
             A0: 1,
             B0: 1,
@@ -106,7 +111,7 @@ class TestAccumulate:
         }
 
     def test_five_mask_variant(self):
-        h = accumulate([A0B0, B0C0, A0, B0, C0], 10)
+        h = accumulate(function_of([A0B0, B0C0, A0, B0, C0], 10))
         assert h == {
             A0: 1,
             B0: 1,
@@ -118,20 +123,21 @@ class TestAccumulate:
         }
 
     def test_common_factor_function(self):
-        h = accumulate([A0B0, B0C0, B0], 10)
+        h = accumulate(function_of([A0B0, B0C0, B0], 10))
         assert h == {A0B0: -1, B0C0: -1, A0B0C0: 2, B0: 1}
 
     def test_two_product_one_linear(self):
-        h = accumulate([A0B0, B0C0, A0], 10)
+        h = accumulate(function_of([A0B0, B0C0, A0], 10))
         assert h == {A0B0: -1, B0C0: 1, A0: 1}
 
     def test_order_independence(self):
+        # the fold's result is the same for every order of its masks
         rng = random.Random(2001)
         for _ in range(40):
             width = rng.randint(3, 10)
             n = rng.randint(2, 8)
             masks = [rng.randrange(1, 1 << width) for _ in range(n)]
-            reference = accumulate(masks, width)
+            reference = fold(masks)
             if n <= 5:
                 orders = itertools.permutations(masks)
             else:
@@ -141,7 +147,7 @@ class TestAccumulate:
                     rng.shuffle(shuffled)
                     orders.append(shuffled)
             for order in orders:
-                assert accumulate(list(order), width) == reference
+                assert fold(list(order)) == reference
 
     def test_result_masks_are_unions_of_inputs(self):
         rng = random.Random(2002)
@@ -155,23 +161,25 @@ class TestAccumulate:
                     for m in combo:
                         u |= m
                     closure.add(u)
-            h = accumulate(masks, width)
+            h = minterms._component_sum(masks, DEFAULT_MAX_SUM_ENTRIES)
             assert h.keys() <= closure
 
     def test_entry_cap_aborts(self):
-        masks = [1 << i for i in range(6)]
-        with pytest.raises(ResourceLimitError):
-            accumulate(masks, 6, max_entries=4)
-        err = None
-        try:
-            accumulate(masks, 6, max_entries=4)
-        except ResourceLimitError as exc:
-            err = exc
-        assert err.exit_code == 4
+        f = function_of([1 << i for i in range(6)], 6)
+        with pytest.raises(ResourceLimitError) as info:
+            accumulate(f, max_entries=4)
+        assert info.value.exit_code == 4
 
-    def test_rejects_wide_masks(self):
-        with pytest.raises(ValidationError):
-            accumulate([0b100], 2)
+    def test_sorted_fold_order_fixes_the_refusal(self):
+        # one component, folded in sorted order: 181 and 213 make 3 entries
+        # and 296 takes the running sum to 6; folded in descending order it
+        # would stay within 5, so no listing of the terms changes the answer
+        f = function_of([429, 296, 213, 181], 9)
+        with pytest.raises(
+            ResourceLimitError, match="has 6 entries, past the cap of 5;"
+        ):
+            accumulate(f, max_entries=5)
+        assert len(minterms._fold_sum([429, 296, 213, 181], 5)) == 5
 
 
 @st.composite
@@ -205,10 +213,18 @@ def component_lists(draw):
     return offset, draw(st.permutations(masks))
 
 
+@st.composite
+def functions(draw):
+    """The function of the distinct nonzero masks of a mask_lists or
+    component_lists draw, over one register."""
+    width, masks = draw(st.one_of(mask_lists(), component_lists()))
+    return function_of(sorted(set(masks) - {0}), width)
+
+
 def disjoint_groups(masks):
-    """The nonzero masks merged into groups that share no stage."""
+    """The masks merged into groups that share no stage."""
     groups = []
-    for mask in filter(None, masks):
+    for mask in masks:
         joined = [g for g in groups if g[0] & mask]
         support = mask
         members = [mask]
@@ -264,22 +280,17 @@ class TestEngines:
         assert minterms._dense_sum(masks, cap) == minterms._fold_sum(masks, cap)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(mask_lists(), component_lists()))
-    @example((3, [0, 0b010]))
-    @example((4, [0, 0, 0b0011, 0b1100, 0]))
-    def test_component_product_equals_fold(self, case):
-        width, masks = case
-        cap = 1 << width
-        result = accumulate(masks, width, max_entries=cap)
-        assert result == minterms._fold_sum(masks, cap)
-        # drawn orders are arbitrary, so each one matching sorted order
-        # means no order matters
-        assert accumulate(sorted(masks), width, max_entries=cap) == result
+    @given(functions())
+    @example(function_of([], 3))
+    @example(function_of([0b0011, 0b1100], 4))
+    def test_component_product_equals_fold(self, f):
+        cap = 1 << f.layout.total_length
+        result = accumulate(f, max_entries=cap)
+        assert result == minterms._fold_sum(sorted(f.terms), cap)
         product = 1
-        for group in disjoint_groups(masks):
+        for group in disjoint_groups(f.terms):
             product *= 1 + len(minterms._fold_sum(group, cap))
-        constant = masks.count(0) % 2
-        assert len(result) == product - 1 + constant
+        assert len(result) == product - 1
 
     @settings(max_examples=300, deadline=None)
     @given(split_mask_lists())
@@ -303,16 +314,16 @@ class TestEngines:
         # one component, m0 ^ m0*m1 ^ ... ^ m0*m21 (k = n = 22), whose sum
         # m0 * (1 - INF(m1 ^ ... ^ m21)) has 2**21 entries
         with pytest.raises(ResourceLimitError) as info:
-            accumulate([1] + [1 | 1 << i for i in range(1, 22)], 22)
+            accumulate(function_of([1] + [1 | 1 << i for i in range(1, 22)], 22))
         assert info.value.exit_code == 4
         assert str(1 << 21) in str(info.value)
         assert str(minterms.DEFAULT_MAX_SUM_ENTRIES) in str(info.value)
 
     def test_dense_cap_bounds_the_final_sum(self):
-        # one component, k = 11 and n = 20: the fold's running sum would
-        # reach 1023 entries before cancelling
+        # one component, k = 11 and n = 20, so the dense engine runs: the
+        # fold's running sum would reach 1023 entries before cancelling
         masks = [1 | 1 << i for i in range(1, 11)] * 2
-        assert accumulate(masks, 11, max_entries=100) == {}
+        assert minterms._component_sum(masks, 100) == {}
 
     def test_fold_serves_sparse_and_wide_supports(self, monkeypatch):
         def refuse(*args):
@@ -336,10 +347,11 @@ class TestEngines:
         assert [analyze(wide).ones, analyze(sparse).ones] == expected
         # one component, m0*m1 ^ ... ^ m0*m25: k = 26 > 24 with n < k, so the
         # fold runs, and its running cap trips
+        f = function_of([1 | 1 << i for i in range(1, 26)], 26)
         with pytest.raises(
             ResourceLimitError, match="has 1023 entries, past the cap of 1000"
         ):
-            accumulate([1 | 1 << i for i in range(1, 26)], 26, max_entries=1000)
+            accumulate(f, max_entries=1000)
 
     @pytest.fixture
     def dense_widths(self, monkeypatch):
@@ -363,7 +375,7 @@ class TestEngines:
         # 24 components of one entry each: (1 + 1)**24 - 1 entries in the
         # end, and building stops at the 20th, once 2**20 - 1 passes the cap
         with pytest.raises(ResourceLimitError) as info:
-            accumulate([1 << i for i in range(24)], 24)
+            accumulate(function_of([1 << i for i in range(24)], 24))
         assert info.value.exit_code == 4
         assert f"at least {(1 << 20) - 1} entries" in str(info.value)
         assert str(minterms.DEFAULT_MAX_SUM_ENTRIES) in str(info.value)
@@ -377,26 +389,32 @@ class TestEngines:
         component = [1] + [1 | 1 << i for i in range(1, 11)]
         masks = [mask << 12 * c for c in range(5) for mask in component]
         with pytest.raises(ResourceLimitError) as info:
-            accumulate(masks, 60, max_entries=100_000)
+            accumulate(function_of(masks, 60), max_entries=100_000)
         assert f"at least {1025**2 - 1} entries" in str(info.value)
         assert dense_widths == [11, 11]
 
     def test_cap_bounds_the_final_sum_not_a_cancelling_fold(self):
         # each stage appears twice and cancels; a fold over all 52 masks
-        # would hold 2**26 - 1 entries before the second half cancels them
+        # would hold 2**26 - 1 entries before the second half cancels them,
+        # while each of the 26 components cancels on its own
         masks = [1 << i for i in range(26)] * 2
-        assert accumulate(masks, 26, max_entries=1000) == {}
+        with pytest.raises(ResourceLimitError):
+            minterms._fold_sum(masks, 1000)
+        groups = minterms._components(masks)
+        assert sorted(groups) == [[1 << i] * 2 for i in range(26)]
+        assert [minterms._component_sum(g, 1000) for g in groups] == [{}] * 26
 
     def test_folded_component_of_a_dense_rule_list_has_a_running_cap(self):
-        # the whole list (k = 6, n = 7) meets the dense rule; its component
-        # 832 ^ 800 ^ 800 (k = 4, n = 3) folds, through a running sum of 3
-        # entries, to 1 entry, and the cap bounds that running sum too
+        # the list splits in two; its component 832 ^ 800 ^ 800 (k = 4,
+        # n = 3) folds, through a running sum of 3 entries, to 1 entry, and
+        # the cap bounds that running sum too
         masks = [832, 8, 800, 9, 800, 8, 9]
+        assert sorted(minterms._components(masks)) == [[8, 9, 8, 9], [832, 800, 800]]
         with pytest.raises(
             ResourceLimitError, match="has 3 entries, past the cap of 2;"
         ):
-            accumulate(masks, 10, max_entries=2)
-        assert accumulate(masks, 10, max_entries=3) == {832: 1}
+            minterms._component_sum([832, 800, 800], 2)
+        assert minterms._component_sum([832, 800, 800], 3) == {832: 1}
 
     def test_components_within_1024_fold_steps_skip_the_transform(
         self, dense_widths
@@ -406,7 +424,7 @@ class TestEngines:
         masks = [1, 0b0110, 0b1100, 0b1000, 1 << 4]
         masks += [1 << 4 | 1 << i for i in range(5, 12)]
         cap = 1 << 12
-        assert accumulate(masks, 12) == minterms._fold_sum(masks, cap)
+        assert accumulate(function_of(masks, 12)) == minterms._fold_sum(masks, cap)
         assert dense_widths == [8]
 
 
