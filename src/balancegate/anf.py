@@ -16,11 +16,16 @@ from operator import itemgetter
 from .errors import ExpressionError, ValidationError
 
 __all__ = [
+    "MAX_STAGES",
     "Register",
     "RegisterLayout",
     "AnfFunction",
     "parse_function",
 ]
+
+# 2**10000 has 3011 digits, so every count and fraction of the period prints
+# within Python's 4300-digit limit on converting an int to text
+MAX_STAGES = 10_000
 
 _VAR_RE = re.compile(r"([A-Za-z]?)([0-9]+)")
 _XOR_SPLIT = re.compile(r"[+^]")
@@ -62,10 +67,8 @@ class RegisterLayout:
                     f" (expected {offset})"
                 )
             offset += reg.length
-        # 2**10000 has 3011 digits, so every count and fraction of the period
-        # prints within Python's 4300-digit limit on converting an int to text
-        if offset > 10_000:
-            raise ValidationError("layout holds more than 10000 stages in all")
+        if offset > MAX_STAGES:
+            raise ValidationError(f"layout holds more than {MAX_STAGES} stages in all")
 
     @classmethod
     def from_lengths(cls, items) -> "RegisterLayout":

@@ -5,22 +5,27 @@ stage and the least significant bit.  A clock emits stage 0, shifts every
 stage down by one, and feeds the XOR of the tapped stages into stage L-1.
 The taps come from the reciprocal of the connection polynomial: term x**e of
 P(x) taps stage L-e (the constant term is the shift itself, not a tap).
+
+The registers themselves are plain ints.  numpy is imported only inside the
+two functions that build arrays, the chunked simulation and the truth-table
+walk, so importing this module, as every command does, does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
-
-from .anf import AnfFunction, RegisterLayout
+from .anf import MAX_STAGES, AnfFunction, RegisterLayout
 from .errors import (
     ResourceLimitError,
     UnverifiedPolynomialError,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_SIMULATION_BUDGET",
@@ -84,6 +89,9 @@ class LfsrConfig:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValidationError("register length must be positive")
+        # checked before any 1 << length, an int of length bits
+        if self.length > MAX_STAGES:
+            raise ValidationError(f"register length is past the {MAX_STAGES}-stage cap")
         exponents = frozenset(self.polynomial)
         object.__setattr__(self, "polynomial", exponents)
         if any(not 0 <= e <= self.length for e in exponents):
@@ -237,6 +245,8 @@ def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]
 
 def _output_chunks(walked: list, terms: list[int], steps: int) -> Iterator[np.ndarray]:
     """iter_output_chunks' walk and yield, once its limits have been checked."""
+    import numpy as np
+
     walks = []
     for cfg, stages in walked:
         period = (1 << cfg.length) - 1
@@ -308,6 +318,8 @@ def count_ones_truthtable(f: AnfFunction) -> int:
             f"{length}-bit layout above the {DEFAULT_TRUTHTABLE_BITS}-bit"
             " truth-table guard"
         )
+    import numpy as np
+
     x = np.arange(1 << length, dtype=np.int64)
     on = np.zeros(1 << length, dtype=bool)
     for t in sorted(f.terms):

@@ -2,16 +2,20 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balancegate import lfsr
+from balancegate import lfsr, minterms
 from balancegate.analyzer import RULE_ISOLATED_LINEAR_TERM, SEVERITY_WARNING, analyze
-from balancegate.anf import AnfFunction, RegisterLayout
+from balancegate.anf import AnfFunction, RegisterLayout, parse_function
 from balancegate.cli import _DumpWriter, main
 from balancegate.lfsr import PRIMITIVE_POLYNOMIALS
 from balancegate.specfile import parse_spec
@@ -799,3 +803,106 @@ class TestTopLevel:
             main(["--version"])
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("balancegate ")
+
+
+# the cli-cold benchmark's 128-stage design and its malformed description,
+# whose register length is missing
+WIDE_SPEC = {
+    "registers": [{"name": "m", "length": 128}],
+    "function": "m127*m64 ^ m100*m55*m3 ^ m0",
+}
+MALFORMED_SPEC = {"registers": [{"name": "a"}], "function": "a0"}
+
+# one component of k = 11 variables and n = 20 masks, so the dense engine
+# runs: m0·m_i, i = 1..10, twice (the sum cancels to nothing), and the
+# function m0·m_i ^ m_i, i = 1..10
+DENSE_MASKS = [1 | 1 << i for i in range(1, 11)] * 2
+DENSE_TEXT = " ^ ".join(f"m0*m{i} ^ m{i}" for i in range(1, 11))
+
+_MAIN_SCRIPT = """
+import contextlib, io, json, sys
+from balancegate.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps(
+    {"code": code, "out": out.getvalue(), "err": err.getvalue(),
+     "numpy": "numpy" in sys.modules}
+))
+"""
+
+_DENSE_SCRIPT = """
+import json, sys
+from balancegate import minterms
+from balancegate.anf import RegisterLayout, parse_function
+from balancegate.analyzer import analyze
+from balancegate.lfsr import count_ones_truthtable
+masks, text = json.loads(sys.argv[1])
+f = parse_function(text, RegisterLayout.single(11))
+ones = analyze(f).ones
+# only the dense engine has loaded numpy so far
+dense = "numpy" in sys.modules
+print(json.dumps(
+    {"ones": ones, "dense": dense, "truthtable": count_ones_truthtable(f),
+     "sum": len(minterms._component_sum(masks, 100))}
+))
+"""
+
+
+def _run_fresh(script: str, *args: str):
+    """Run script in a new interpreter that imports the package from src/
+    and return its last stdout line, read as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """numpy is imported only inside the functions that build arrays, so a
+    command that only folds starts without it.  This module has numpy loaded,
+    so only a new interpreter can see that."""
+
+    def test_importing_the_package_and_cli_leaves_numpy_unloaded(self):
+        script = "import json, sys, balancegate, balancegate.cli\n"
+        script += 'print(json.dumps("numpy" in sys.modules))'
+        assert _run_fresh(script) is False
+
+    @pytest.mark.parametrize(
+        "spec, argv, code",
+        [
+            (GEFFE_SPEC, ["analyze"], 3),
+            (GEFFE_SPEC, ["analyze", "--json"], 3),
+            (WIDE_SPEC, ["check-rules"], 0),
+            (MALFORMED_SPEC, ["analyze"], 2),
+        ],
+        ids=["analyze-geffe", "analyze-geffe-json", "check-rules-wide", "malformed"],
+    )
+    def test_fold_only_commands_run_without_numpy(self, spec_file, capsys, spec, argv, code):
+        args = [argv[0], spec_file(spec), *argv[1:]]
+        fresh = _run_fresh(_MAIN_SCRIPT, json.dumps(args))
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert fresh == {
+            "code": code,
+            "out": captured.out,
+            "err": captured.err,
+            "numpy": False,
+        }
+
+    def test_dense_engine_loads_numpy_on_first_use(self):
+        f = parse_function(DENSE_TEXT, RegisterLayout.single(11))
+        fresh = _run_fresh(_DENSE_SCRIPT, json.dumps([DENSE_MASKS, DENSE_TEXT]))
+        assert fresh == {
+            "ones": analyze(f).ones,
+            "dense": True,
+            "truthtable": lfsr.count_ones_truthtable(f),
+            "sum": len(minterms._component_sum(DENSE_MASKS, 100)),
+        }
+        assert fresh["ones"] == fresh["truthtable"] and fresh["sum"] == 0

@@ -1,11 +1,13 @@
 """Register simulation, polynomial verification, brute-force counting oracles."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from balancegate import lfsr
-from balancegate.anf import RegisterLayout, parse_function
+from balancegate.anf import MAX_STAGES, RegisterLayout, parse_function
 from balancegate.errors import (
     ResourceLimitError,
     UnverifiedPolynomialError,
@@ -76,11 +78,27 @@ class TestLfsrConfig:
             (3, {3, 2, 0}, 0),  # zero seed
             (3, {3, 2, 0}, 8),  # seed too wide
             (3, {3, 2, 0}, -1),
+            (MAX_STAGES + 1, {MAX_STAGES + 1, 0}, None),  # past the layout's cap
         ],
     )
     def test_rejects_bad_configs(self, length, poly, state):
         with pytest.raises(ValidationError):
             LfsrConfig(length, frozenset(poly), state)
+
+    def test_huge_length_is_refused_before_any_state_is_built(self):
+        # the all-ones seed of this register alone would take ~375 MB
+        length = 3_000_000_000
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValidationError, match="stage cap"):
+                LfsrConfig(length, frozenset({length, 0}))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
 
 
 class TestStepAndCycle:
