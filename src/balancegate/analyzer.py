@@ -1,4 +1,5 @@
-"""Verdict layer: exact counts into Accept/Reject plus structural findings.
+"""Verdict layer: exact counts into Accept/Reject, plus findings: bounds on
+the count proven from the shape of the function.
 
 All balancedness arithmetic is exact rational; no float ever touches a
 decision boundary.
@@ -30,10 +31,8 @@ __all__ = [
 DEFAULT_TOLERANCE = Fraction(1, 100)
 
 SEVERITY_GUARANTEE = "guarantee"
-SEVERITY_WARNING = "warning"
 
 RULE_ISOLATED_LINEAR_TERM = "ISOLATED_LINEAR_TERM"
-RULE_ALL_LINEAR_TERMS = "ALL_LINEAR_TERMS"
 RULE_COMMON_FACTOR = "COMMON_FACTOR"
 
 # the tolerance texts Fraction is given: an integer, p/q or a decimal, so no
@@ -86,7 +85,8 @@ class VerdictPolicy:
 
 @dataclass(frozen=True)
 class RuleFinding:
-    """One structural observation about a function, with concrete evidence."""
+    """One proven bound on the full-period ones count, read from the shape of
+    the function; the evidence names the variables it rests on."""
 
     rule_id: str
     severity: str
@@ -170,40 +170,44 @@ def magnitude_label(ones: int, period: int) -> str:
 
 
 def check_isolated_linear_term(f: AnfFunction) -> RuleFinding | None:
-    """Detect a standalone linear monomial whose variable appears nowhere else.
+    """Bound the ones count by a linear monomial whose variable appears in no
+    other monomial; the lowest such variable is reported.
 
-    For a single-register generator such a term forces exactly 2**(L-1) ones
-    per period, whatever the rest of the function does, so the finding is a
-    guarantee and needs no counting.  For multi-register generators the same
-    shape only suggests near-balance, so it is reported as a warning-level
-    note instead.
+    Write f = x ^ g, with x a stage of register r of n stages and g free of
+    x.  Over the joint period T, flipping x pairs every nonzero state of r
+    but the one that holds x alone, and each pair carries exactly one 1
+    whatever the other registers hold.  So with M = T / (2**n - 1) the count
+    lies between M * (2**(n-1) - 1) and M * 2**(n-1).  On one register M = 1,
+    and g, having no constant term, is 0 at the unpaired state, so the count
+    is exactly 2**(n-1).
+
+    Raises:
+        ValidationError: if the register lengths are not pairwise coprime,
+            as for `RegisterLayout.period`, since the bound counts over the
+            joint period.
     """
+    layout = f.layout
+    period = layout.period()
     singles = sorted(t for t in f.terms if t.bit_count() == 1)
     for term in singles:
         if any(other != term and other & term for other in f.terms):
             continue
-        name = f.layout.variable_name(term.bit_length() - 1)
-        if len(f.layout.registers) == 1:
-            length = f.layout.total_length
-            return RuleFinding(
-                rule_id=RULE_ISOLATED_LINEAR_TERM,
-                severity=SEVERITY_GUARANTEE,
-                message=(
-                    f"variable {name} forms a monomial of its own and appears in"
-                    f" no other monomial; the full-period output carries exactly"
-                    f" 2^{length - 1} ones"
-                ),
-                evidence=(name,),
-            )
-        reg = f.layout.register_of(term.bit_length() - 1)
+        bit = term.bit_length() - 1
+        name = layout.variable_name(bit)
+        reg = layout.register_of(bit)
+        if len(layout.registers) == 1:
+            where, count = "", f"exactly 2^{reg.length - 1} ones"
+        else:
+            rest = period // ((1 << reg.length) - 1)
+            half = 1 << (reg.length - 1)
+            where = f" of register {reg.name}"
+            count = f"between {rest * (half - 1)} and {rest * half} ones"
         return RuleFinding(
             rule_id=RULE_ISOLATED_LINEAR_TERM,
-            severity=SEVERITY_WARNING,
+            severity=SEVERITY_GUARANTEE,
             message=(
-                f"variable {name} of register {reg.name} forms a monomial of its"
-                " own and appears in no other monomial; expect the ones count"
-                " near half the period, though the exact-half guarantee only"
-                " holds for single-register generators"
+                f"variable {name}{where} forms a monomial of its own and appears"
+                f" in no other monomial; the full-period output carries {count}"
             ),
             evidence=(name,),
         )
@@ -211,56 +215,58 @@ def check_isolated_linear_term(f: AnfFunction) -> RuleFinding | None:
 
 
 def heuristic_findings(f: AnfFunction) -> list[RuleFinding]:
-    """Design-rule warnings about likely imbalance; never override counting."""
-    findings: list[RuleFinding] = []
+    """Bound the ones count by the variables that appear in every monomial.
+
+    Write f = x_C * g, with x_C the product of the shared variables C.  Then
+    f is 1 only where every variable of C is, so over the joint period the
+    count is at most the product of N_r over the registers: N_r =
+    2**(len_r - c_r) for a register holding c_r >= 1 variables of C, and
+    2**len_r - 1 for any other.
+
+    Raises:
+        ValidationError: if the register lengths are not pairwise coprime,
+            as for `RegisterLayout.period`, since the bound counts over the
+            joint period.
+    """
     layout = f.layout
-    if not f.terms:
-        return findings
-
-    singles = sorted(t for t in f.terms if t.bit_count() == 1)
-    covered = {layout.register_of(t.bit_length() - 1).name for t in singles}
-    has_products = any(t.bit_count() >= 2 for t in f.terms)
-    if has_products and covered == {reg.name for reg in layout.registers}:
-        names = tuple(layout.variable_name(t.bit_length() - 1) for t in singles)
-        findings.append(
-            RuleFinding(
-                rule_id=RULE_ALL_LINEAR_TERMS,
-                severity=SEVERITY_WARNING,
-                message=(
-                    "every register contributes a standalone linear monomial"
-                    " next to higher-order monomials; expansions barely cancel"
-                    " and the ones count lands well above half the period"
-                ),
-                evidence=names,
-            )
-        )
-
+    layout.period()
     common = ~0
     for t in f.terms:
         common &= t
-    if common:
-        names = tuple(
-            layout.variable_name(b)
-            for b in range(layout.total_length)
-            if common >> b & 1
+    if not f.terms or not common:
+        return []
+    bound = 1
+    for reg in layout.registers:
+        shared = (common >> reg.offset & ((1 << reg.length) - 1)).bit_count()
+        bound *= (1 << (reg.length - shared)) - (shared == 0)
+    names = tuple(
+        layout.variable_name(b) for b in range(layout.total_length) if common >> b & 1
+    )
+    if len(names) > 1:
+        subject = f"variables {', '.join(names)} appear"
+    else:
+        subject = f"variable {names[0]} appears"
+    return [
+        RuleFinding(
+            rule_id=RULE_COMMON_FACTOR,
+            severity=SEVERITY_GUARANTEE,
+            message=(
+                f"{subject} in every monomial; the full-period output carries at"
+                f" most {bound} ones"
+            ),
+            evidence=names,
         )
-        findings.append(
-            RuleFinding(
-                rule_id=RULE_COMMON_FACTOR,
-                severity=SEVERITY_WARNING,
-                message=(
-                    f"variable{'s' if len(names) > 1 else ''} {', '.join(names)}"
-                    " appear in every monomial; expansions overlap heavily and"
-                    " the ones count lands well below half the period"
-                ),
-                evidence=names,
-            )
-        )
-    return findings
+    ]
 
 
 def findings(f: AnfFunction) -> list[RuleFinding]:
-    """Every structural finding: the isolated-term rule, then the heuristics."""
+    """Every structural finding, each a guarantee that bounds the ones count
+    over the joint period: the isolated-term rule, then the common-factor
+    rule.
+
+    Raises:
+        ValidationError: if the register lengths are not pairwise coprime.
+    """
     isolated = check_isolated_linear_term(f)
     return ([isolated] if isolated else []) + heuristic_findings(f)
 

@@ -12,14 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .analyzer import (
-    RULE_ISOLATED_LINEAR_TERM,
-    SEVERITY_GUARANTEE,
-    AnalysisReport,
-    VerdictPolicy,
-    analyze,
-    findings,
-)
+from .analyzer import AnalysisReport, VerdictPolicy, analyze, findings
 from .errors import (
     BalanceGateError,
     DisagreementError,
@@ -95,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p.set_defaults(handler=_cmd_verify)
 
     rules_p = sub.add_parser(
-        "check-rules", help="structural guarantees and design-rule warnings"
+        "check-rules", help="proven bounds on the ones count, with no counting"
     )
     rules_p.add_argument("spec", help="generator description file")
     rules_p.set_defaults(handler=_cmd_check_rules)
@@ -229,9 +222,9 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    budget = _resolve_budget()
     spec = load_spec(args.spec)
     g = spec.instance(notice=_notice)
-    budget = _resolve_budget()
     steps = g.layout.period() if args.full_period else args.steps
     # the order count_ones_simulated checks in: the budget, then the walk's
     # limits, both before any --trust-poly hint
@@ -258,6 +251,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    budget = _resolve_budget()
     spec = load_spec(args.spec)
     f = spec.function()
 
@@ -273,7 +267,6 @@ def _cmd_verify(args) -> int:
         results.append(truth)
         print(f"truth-table: {truth}")
 
-    budget = _resolve_budget()
     # a register with neither a pinned nor a built-in polynomial cannot clock
     unpinned = next(
         (
@@ -318,16 +311,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check_rules(args) -> int:
     spec = load_spec(args.spec)
-    # the multi-register isolated-term note is a hint, not a design rule
-    shown = [
-        x
-        for x in findings(spec.function())
-        if x.rule_id != RULE_ISOLATED_LINEAR_TERM or x.severity == SEVERITY_GUARANTEE
-    ]
-    if not shown:
+    found = findings(spec.function())
+    if not found:
         print("no findings")
         return 0
-    for finding in shown:
+    for finding in found:
         evidence = ", ".join(finding.evidence)
         print(f"[{finding.severity}] {finding.rule_id} ({evidence}): {finding.message}")
     return 0

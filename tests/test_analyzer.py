@@ -1,27 +1,29 @@
 """Verdict policy, magnitude tags, structural rules, full report assembly."""
 
 import json
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balancegate.analyzer import (
-    RULE_ALL_LINEAR_TERMS,
     RULE_COMMON_FACTOR,
     RULE_ISOLATED_LINEAR_TERM,
     SEVERITY_GUARANTEE,
-    SEVERITY_WARNING,
     VerdictPolicy,
     analyze,
     check_isolated_linear_term,
+    findings,
     heuristic_findings,
     magnitude_label,
     verdict,
 )
 from balancegate.anf import AnfFunction, RegisterLayout, parse_function
 from balancegate.errors import ResourceLimitError, ValidationError
-from conftest import geffe_layout
+from balancegate.lfsr import count_ones_truthtable
+from conftest import COPRIME_SHAPES, geffe_layout
 
 GEFFE = "a0*b0 ^ b0*c0 ^ c0"
 
@@ -145,13 +147,19 @@ class TestIsolatedLinearTerm:
         f = parse_function("m1*m0 ^ m1", RegisterLayout.single(3))
         assert check_isolated_linear_term(f) is None
 
-    def test_multi_register_only_warns(self):
+    def test_multi_register_interval(self):
+        # T = 651 and register c has 31 states, so M = 21: 21·15 .. 21·16
         f = parse_function("a0*b0 ^ c0", geffe_layout())
         finding = check_isolated_linear_term(f)
         assert finding is not None
-        assert finding.severity == SEVERITY_WARNING
+        assert finding.severity == SEVERITY_GUARANTEE
         assert finding.evidence == ("c0",)
-        assert "register c" in finding.message
+        assert finding.message.endswith(
+            "variable c0 of register c forms a monomial of its own and appears"
+            " in no other monomial; the full-period output carries between 315"
+            " and 336 ones"
+        )
+        assert 315 <= analyze(f).ones == 328 <= 336
 
     def test_reports_lowest_qualifying_variable(self):
         f = parse_function("m0 ^ m1 ^ m2*m1", RegisterLayout.single(3))
@@ -171,20 +179,26 @@ class TestIsolatedLinearTerm:
 
 
 class TestHeuristics:
-    def test_all_linear_terms_rule(self):
-        f = parse_function(
-            "a0*b0 ^ b0*c0 ^ a0*c0 ^ a0 ^ b0 ^ c0", geffe_layout()
-        )
-        findings = heuristic_findings(f)
-        assert [x.rule_id for x in findings] == [RULE_ALL_LINEAR_TERMS]
-        assert findings[0].severity == SEVERITY_WARNING
-        assert findings[0].evidence == ("a0", "b0", "c0")
-
     def test_common_factor_rule(self):
+        # b0 = 1 leaves 3 · 4 · 31 joint states
         f = parse_function("a0*b0 ^ b0*c0 ^ b0", geffe_layout())
         findings = heuristic_findings(f)
         assert [x.rule_id for x in findings] == [RULE_COMMON_FACTOR]
+        assert findings[0].severity == SEVERITY_GUARANTEE
         assert findings[0].evidence == ("b0",)
+        assert findings[0].message == (
+            "variable b0 appears in every monomial; the full-period output"
+            " carries at most 372 ones"
+        )
+        assert analyze(f).ones == 188
+
+    def test_bound_holds_where_half_the_period_is_passed(self):
+        # 12 ones of 21, above half: the bound is 2 · 7
+        layout = RegisterLayout.from_lengths([("a", 2), ("b", 3)])
+        f = parse_function("b2*b1*a0 ^ b2*a0 ^ b1*a0", layout)
+        (finding,) = heuristic_findings(f)
+        assert finding.message.endswith("at most 14 ones")
+        assert analyze(f).ones == 12
 
     def test_single_register_common_factor(self):
         f = parse_function("m2*m1 ^ m1*m0", RegisterLayout.single(3))
@@ -197,14 +211,84 @@ class TestHeuristics:
         findings = heuristic_findings(f)
         assert [x.rule_id for x in findings] == [RULE_COMMON_FACTOR]
         assert findings[0].evidence == ("a0", "b0")
+        # a lone monomial meets its bound: 2 · 4 · 31
+        assert findings[0].message.startswith("variables a0, b0 appear in")
+        assert findings[0].message.endswith("at most 248 ones")
+        assert analyze(f).ones == 248
 
     def test_quiet_functions(self):
         layout = geffe_layout()
         assert heuristic_findings(parse_function(GEFFE, layout)) == []
         assert heuristic_findings(parse_function("a0 ^ b0 ^ c0", layout)) == []
         assert heuristic_findings(parse_function("a0*b0 ^ c0", layout)) == []
+        every_register_linear = "a0*b0 ^ b0*c0 ^ a0*c0 ^ a0 ^ b0 ^ c0"
+        assert heuristic_findings(parse_function(every_register_linear, layout)) == []
         empty = AnfFunction(layout, frozenset())
         assert heuristic_findings(empty) == []
+
+
+def printed_bound(message: str) -> tuple[int, int]:
+    """The (low, high) range a finding's message states for the ones count."""
+    if m := re.search(r"exactly 2\^([0-9]+) ones$", message):
+        return 1 << int(m[1]), 1 << int(m[1])
+    if m := re.search(r"between ([0-9]+) and ([0-9]+) ones$", message):
+        return int(m[1]), int(m[2])
+    m = re.search(r"at most ([0-9]+) ones$", message)
+    assert m, message
+    return 0, int(m[1])
+
+
+@st.composite
+def _functions(draw):
+    """Few low-degree monomials over a coprime layout or one register of at
+    most 14 stages; now and then every monomial takes a shared factor, or a
+    linear monomial on a variable no other monomial reads is added."""
+    shape = draw(
+        st.one_of(
+            st.sampled_from(COPRIME_SHAPES),
+            st.integers(1, 14).map(lambda n: (("m", n),)),
+        )
+    )
+    layout = RegisterLayout.from_lengths(list(shape))
+    bits = st.integers(0, layout.total_length - 1)
+    monomial = st.sets(bits, min_size=1, max_size=3).map(
+        lambda chosen: sum(1 << b for b in chosen)
+    )
+    terms = set()
+    for mask in draw(st.lists(monomial, min_size=1, max_size=6)):
+        terms ^= {mask}
+    if terms and draw(st.booleans()):
+        common = draw(monomial)
+        terms = {t | common for t in terms}
+    if draw(st.booleans()):
+        bit = draw(bits)
+        terms = {t for t in terms if not t >> bit & 1} | {1 << bit}
+    return AnfFunction(layout, frozenset(terms))
+
+
+class TestFindingBounds:
+    @settings(max_examples=400, deadline=None)
+    @given(f=_functions())
+    def test_every_printed_bound_holds(self, f):
+        counts = (analyze(f).ones, count_ones_truthtable(f))
+        for finding in findings(f):
+            assert finding.severity == SEVERITY_GUARANTEE
+            low, high = printed_bound(finding.message)
+            for ones in counts:
+                assert low <= ones <= high, (f.to_text(), finding.message)
+
+    def test_non_coprime_layout_is_refused_as_by_the_period(self):
+        layout = RegisterLayout.from_lengths([("a", 2), ("b", 4)])
+        with pytest.raises(ValidationError) as period_error:
+            layout.period()
+        for text in ("a0", "a1*b0 ^ b2", "a0*b1"):
+            f = parse_function(text, layout)
+            for rule in (findings, check_isolated_linear_term, heuristic_findings):
+                with pytest.raises(ValidationError) as info:
+                    rule(f)
+                assert str(info.value) == str(period_error.value)
+        with pytest.raises(ValidationError):
+            findings(AnfFunction(layout, frozenset()))
 
 
 class TestAnalyze:
@@ -246,7 +330,7 @@ class TestAnalyze:
         f = parse_function("a0*b0 ^ c0", geffe_layout())
         rep = analyze(f)
         severities = {x.rule_id: x.severity for x in rep.findings}
-        assert severities == {RULE_ISOLATED_LINEAR_TERM: SEVERITY_WARNING}
+        assert severities == {RULE_ISOLATED_LINEAR_TERM: SEVERITY_GUARANTEE}
 
     def test_entry_cap_propagates(self):
         f = parse_function(
