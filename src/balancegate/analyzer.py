@@ -286,8 +286,8 @@ def analyze(
     policy = policy or VerdictPolicy()
     layout = f.layout
     period = layout.period()
-    final_sum = accumulate(f, max_entries=max_sum_entries)
-    ones = exact_ones_multi(final_sum, layout)
+    final_sum, weights = accumulate(f, max_entries=max_sum_entries)
+    ones = exact_ones_multi(weights, layout)
     return AnalysisReport(
         layout=layout,
         function_text=f.to_text(),

@@ -101,6 +101,24 @@ def naive_ones_count(f: AnfFunction) -> int:
     return total
 
 
+def per_entry_ones(entries: dict[int, int], layout: RegisterLayout) -> int:
+    """Ones count per joint period of a signed sum, mask to coefficient.
+
+    Plain per-entry reference path: each entry's register weights give its
+    factor, 2**(len - d) for weight d >= 1 and 2**len - 1 for d = 0.
+    `minterms.exact_ones_multi`, which counts from the weight histogram
+    instead, is cross-checked against it.
+    """
+    total = 0
+    for mask, coeff in entries.items():
+        factor = 1
+        for reg in layout.registers:
+            d = (mask >> reg.offset & ((1 << reg.length) - 1)).bit_count()
+            factor *= (1 << (reg.length - d)) if d else (1 << reg.length) - 1
+        total += coeff * factor
+    return total
+
+
 def generate_output(g: GeneratorInstance, steps: int) -> list[int]:
     """First `steps` output bits, all registers clocking simultaneously.
 

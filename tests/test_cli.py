@@ -861,12 +861,13 @@ from balancegate.analyzer import analyze
 from balancegate.lfsr import count_ones_truthtable
 masks, text = json.loads(sys.argv[1])
 f = parse_function(text, RegisterLayout.single(11))
+places = minterms._places(f.layout)
 ones = analyze(f).ones
 # only the dense engine has loaded numpy so far
 dense = "numpy" in sys.modules
 print(json.dumps(
     {"ones": ones, "dense": dense, "truthtable": count_ones_truthtable(f),
-     "sum": len(minterms._component_sum(masks, 100))}
+     "sum": len(minterms._component_sum(masks, 100, places)[0])}
 ))
 """
 
@@ -902,9 +903,17 @@ class TestColdStart:
             (GEFFE_SPEC, ["analyze"], 3),
             (GEFFE_SPEC, ["analyze", "--json"], 3),
             (WIDE_SPEC, ["check-rules"], 0),
+            # three fold components, so their weight histograms combine
+            (WIDE_SPEC, ["analyze"], 0),
             (MALFORMED_SPEC, ["analyze"], 2),
         ],
-        ids=["analyze-geffe", "analyze-geffe-json", "check-rules-wide", "malformed"],
+        ids=[
+            "analyze-geffe",
+            "analyze-geffe-json",
+            "check-rules-wide",
+            "analyze-wide",
+            "malformed",
+        ],
     )
     def test_fold_only_commands_run_without_numpy(self, spec_file, capsys, spec, argv, code):
         args = [argv[0], spec_file(spec), *argv[1:]]
@@ -925,6 +934,8 @@ class TestColdStart:
             "ones": analyze(f).ones,
             "dense": True,
             "truthtable": lfsr.count_ones_truthtable(f),
-            "sum": len(minterms._component_sum(DENSE_MASKS, 100)),
+            "sum": len(
+                minterms._component_sum(DENSE_MASKS, 100, minterms._places(f.layout))[0]
+            ),
         }
         assert fresh["ones"] == fresh["truthtable"] and fresh["sum"] == 0

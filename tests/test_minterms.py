@@ -23,6 +23,7 @@ from conftest import (
     function_of,
     geffe_layout,
     minterm_function,
+    per_entry_ones,
     random_function,
 )
 
@@ -41,6 +42,12 @@ A0B0C0 = A0 | B0 | C0
 def fold(masks):
     """The fold of a mask list, duplicates and mask 0 allowed, in list order."""
     return minterms._fold_sum(masks, DEFAULT_MAX_SUM_ENTRIES)
+
+
+def places_of(width):
+    """The weight places of one width-stage register, which the engines
+    take with their masks."""
+    return minterms._places(RegisterLayout.single(width))
 
 
 class TestCommonDevelopment:
@@ -66,8 +73,8 @@ class TestCommonDevelopment:
             assert shared == expansion(a | b, 4)
 
     def test_sum_carries_coefficients_onto_unions(self):
-        before = accumulate(function_of([A0B0, B0C0], 10))
-        after = accumulate(function_of([A0B0, B0C0, C0], 10))
+        before, _ = accumulate(function_of([A0B0, B0C0], 10))
+        after, _ = accumulate(function_of([A0B0, B0C0, C0], 10))
         step = {m: after.get(m, 0) - before.get(m, 0) for m in before.keys() | after}
         # +c0, minus twice the common development {b0c0: 1, a0b0c0: -1}
         assert {m: d for m, d in step.items() if d} == {C0: 1, B0C0: -2, A0B0C0: 2}
@@ -81,26 +88,32 @@ class TestCommonDevelopment:
 class TestAccumulate:
     def test_single_register_example(self):
         f = parse_function(TOY, RegisterLayout.single(3))
-        h = accumulate(f)
+        h, _ = accumulate(f)
         assert h == {0b101: 1, 0b110: -1, 0b010: 1}
 
     def test_single_register_intermediate(self):
         # after the first two masks, before the final one cancels the triple
-        h = accumulate(function_of([0b101, 0b110], 3))
+        h, _ = accumulate(function_of([0b101, 0b110], 3))
         assert h == {0b101: 1, 0b110: 1, 0b111: -2}
 
     def test_geffe_masks(self):
-        h = accumulate(function_of([A0B0, B0C0, C0], 10))
+        h, _ = accumulate(function_of([A0B0, B0C0, C0], 10))
         assert h == {A0B0: 1, C0: 1, B0C0: -1}
 
+    def test_geffe_weights(self):
+        # one weight tuple per register of a(2) b(3) c(5)
+        f = AnfFunction(geffe_layout(), frozenset({A0B0, B0C0, C0}))
+        _, weights = accumulate(f)
+        assert weights == {(1, 1, 0): 1, (0, 0, 1): 1, (0, 1, 1): -1}
+
     def test_two_mask_intermediate(self):
-        h = accumulate(function_of([A0B0, B0C0], 10))
+        h, _ = accumulate(function_of([A0B0, B0C0], 10))
         assert h == {A0B0: 1, B0C0: 1, A0B0C0: -2}
 
     def test_all_terms_function_with_all_linear_terms(self):
         # six masks, coefficients settle to +1 on the linear and -1 on the
         # quadratic minterms
-        h = accumulate(function_of([A0B0, B0C0, A0C0, A0, B0, C0], 10))
+        h, _ = accumulate(function_of([A0B0, B0C0, A0C0, A0, B0, C0], 10))
         assert h == {
             A0: 1,
             B0: 1,
@@ -111,7 +124,7 @@ class TestAccumulate:
         }
 
     def test_five_mask_variant(self):
-        h = accumulate(function_of([A0B0, B0C0, A0, B0, C0], 10))
+        h, _ = accumulate(function_of([A0B0, B0C0, A0, B0, C0], 10))
         assert h == {
             A0: 1,
             B0: 1,
@@ -123,11 +136,11 @@ class TestAccumulate:
         }
 
     def test_common_factor_function(self):
-        h = accumulate(function_of([A0B0, B0C0, B0], 10))
+        h, _ = accumulate(function_of([A0B0, B0C0, B0], 10))
         assert h == {A0B0: -1, B0C0: -1, A0B0C0: 2, B0: 1}
 
     def test_two_product_one_linear(self):
-        h = accumulate(function_of([A0B0, B0C0, A0], 10))
+        h, _ = accumulate(function_of([A0B0, B0C0, A0], 10))
         assert h == {A0B0: -1, B0C0: 1, A0: 1}
 
     def test_order_independence(self):
@@ -161,7 +174,9 @@ class TestAccumulate:
                     for m in combo:
                         u |= m
                     closure.add(u)
-            h = minterms._component_sum(masks, DEFAULT_MAX_SUM_ENTRIES)
+            h, _ = minterms._component_sum(
+                masks, DEFAULT_MAX_SUM_ENTRIES, places_of(width)
+            )
             assert h.keys() <= closure
 
     def test_entry_cap_aborts(self):
@@ -253,6 +268,32 @@ def coprime_functions(draw):
 
 
 @st.composite
+def engine_mixes(draw):
+    """A function over a coprime layout or one register of 1..16 stages,
+    its stages dealt into blocks that each hold either 1..3 masks (the
+    fold's side of the engine switch) or enough masks for the dense engine:
+    at least k over k stages, and more than 1024 / 2**k."""
+    single = st.integers(1, 16).map(lambda n: (("m", n),))
+    layout = RegisterLayout.from_lengths(
+        draw(st.one_of(st.sampled_from(COPRIME_SHAPES), single))
+    )
+    stages = draw(st.permutations(range(layout.total_length)))
+    terms = set()
+    while stages:
+        k = draw(st.integers(1, len(stages)))
+        block, stages = stages[:k], stages[k:]
+        least = max(k, (minterms._FOLD_MAX_STEPS >> k) + 1)
+        if least < 1 << k and draw(st.booleans()):
+            n = draw(st.integers(least, min(2 * least, (1 << k) - 1)))
+        else:
+            n = draw(st.integers(1, min(3, (1 << k) - 1)))
+        picks = draw(st.sets(st.integers(1, (1 << k) - 1), min_size=n, max_size=n))
+        for pick in picks:
+            terms.add(sum(1 << block[j] for j in range(k) if pick >> j & 1))
+    return AnfFunction(layout, frozenset(terms))
+
+
+@st.composite
 def partly_read_functions(draw):
     """A function over a coprime layout that leaves some stages unread."""
     layout = RegisterLayout.from_lengths(draw(st.sampled_from(COPRIME_SHAPES)))
@@ -277,7 +318,12 @@ class TestEngines:
     def test_dense_sum_equals_fold(self, case):
         width, masks = case
         cap = 1 << width
-        assert minterms._dense_sum(masks, cap) == minterms._fold_sum(masks, cap)
+        places = places_of(width)
+        entries = minterms._fold_sum(masks, cap)
+        assert minterms._dense_sum(masks, cap, places) == (
+            entries,
+            minterms._weights(entries, places),
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(functions())
@@ -285,7 +331,7 @@ class TestEngines:
     @example(function_of([0b0011, 0b1100], 4))
     def test_component_product_equals_fold(self, f):
         cap = 1 << f.layout.total_length
-        result = accumulate(f, max_entries=cap)
+        result, _ = accumulate(f, max_entries=cap)
         assert result == minterms._fold_sum(sorted(f.terms), cap)
         product = 1
         for group in disjoint_groups(f.terms):
@@ -323,7 +369,7 @@ class TestEngines:
         # one component, k = 11 and n = 20, so the dense engine runs: the
         # fold's running sum would reach 1023 entries before cancelling
         masks = [1 | 1 << i for i in range(1, 11)] * 2
-        assert minterms._component_sum(masks, 100) == {}
+        assert minterms._component_sum(masks, 100, places_of(11)) == ({}, {})
 
     def test_fold_serves_sparse_and_wide_supports(self, monkeypatch):
         def refuse(*args):
@@ -340,7 +386,12 @@ class TestEngines:
             RegisterLayout.single(20),
         )
         expected = [
-            exact_ones_multi(minterms._dense_sum(sorted(f.terms), 1 << 20), f.layout)
+            per_entry_ones(
+                minterms._dense_sum(
+                    sorted(f.terms), 1 << 20, minterms._places(f.layout)
+                )[0],
+                f.layout,
+            )
             for f in (wide, sparse)
         ]
         monkeypatch.setattr(minterms, "_dense_sum", refuse)
@@ -359,12 +410,12 @@ class TestEngines:
         dense_sum = minterms._dense_sum
         widths = []
 
-        def recording(masks, max_entries):
+        def recording(masks, max_entries, places):
             support = 0
             for mask in masks:
                 support |= mask
             widths.append(support.bit_count())
-            return dense_sum(masks, max_entries)
+            return dense_sum(masks, max_entries, places)
 
         monkeypatch.setattr(minterms, "_dense_sum", recording)
         return widths
@@ -402,7 +453,10 @@ class TestEngines:
             minterms._fold_sum(masks, 1000)
         groups = minterms._components(masks)
         assert sorted(groups) == [[1 << i] * 2 for i in range(26)]
-        assert [minterms._component_sum(g, 1000) for g in groups] == [{}] * 26
+        places = places_of(26)
+        assert [minterms._component_sum(g, 1000, places) for g in groups] == [
+            ({}, {})
+        ] * 26
 
     def test_folded_component_of_a_dense_rule_list_has_a_running_cap(self):
         # the list splits in two; its component 832 ^ 800 ^ 800 (k = 4,
@@ -413,8 +467,27 @@ class TestEngines:
         with pytest.raises(
             ResourceLimitError, match="has 3 entries, past the cap of 2;"
         ):
-            minterms._component_sum([832, 800, 800], 2)
-        assert minterms._component_sum([832, 800, 800], 3) == {832: 1}
+            minterms._component_sum([832, 800, 800], 2, places_of(10))
+        # 832 holds three stages of the one register, weight key 3
+        assert minterms._component_sum([832, 800, 800], 3, places_of(10)) == (
+            {832: 1},
+            {3: 1},
+        )
+
+    def test_dense_weights_need_no_bitwise_count(self, monkeypatch, dense_widths):
+        # numpy 1.24, the declared floor, has no bitwise_count: the dense
+        # engine's popcounts go through byte tables.  m0*m_i ^ m_i, i = 1..10,
+        # over a(3) b(4) c(7), k = 11 and n = 20 across all three registers
+        import numpy
+
+        layout = RegisterLayout.from_lengths([("a", 3), ("b", 4), ("c", 7)])
+        masks = [1 | 1 << i for i in range(1, 11)] + [1 << i for i in range(1, 11)]
+        f = AnfFunction(layout, frozenset(masks))
+        monkeypatch.delattr(numpy, "bitwise_count", raising=False)
+        final_sum, _ = accumulate(f)
+        assert dense_widths == [11]
+        assert analyze(f).ones == per_entry_ones(final_sum, layout)
+        assert analyze(f).ones == count_ones_truthtable(f)
 
     def test_components_within_1024_fold_steps_skip_the_transform(
         self, dense_widths
@@ -424,19 +497,25 @@ class TestEngines:
         masks = [1, 0b0110, 0b1100, 0b1000, 1 << 4]
         masks += [1 << 4 | 1 << i for i in range(5, 12)]
         cap = 1 << 12
-        assert accumulate(function_of(masks, 12)) == minterms._fold_sum(masks, cap)
+        assert accumulate(function_of(masks, 12))[0] == minterms._fold_sum(masks, cap)
         assert dense_widths == [8]
 
 
 class TestExactOnes:
+    """The count from a weight histogram: per-register weight tuple to
+    summed coefficient."""
+
     def test_single_register_example(self):
-        h = {0b101: 1, 0b110: -1, 0b010: 1}
-        assert exact_ones_multi(h, RegisterLayout.single(3)) == 4
+        # the sum {101: 1, 110: -1, 010: 1}: the two weight-2 masks cancel
+        weights = {(2,): 1 - 1, (1,): 1}
+        assert exact_ones_multi(weights, RegisterLayout.single(3)) == 4
 
     @pytest.mark.parametrize("length", range(1, 13))
     def test_unit_mask_gives_half_period(self, length):
-        h = {1 << (length - 1): 1}
-        assert exact_ones_multi(h, RegisterLayout.single(length)) == 1 << (length - 1)
+        weights = {(1,): 1}
+        assert exact_ones_multi(weights, RegisterLayout.single(length)) == 1 << (
+            length - 1
+        )
 
     def test_empty_sum_counts_zero(self):
         assert exact_ones_multi({}, RegisterLayout.single(4)) == 0
@@ -445,41 +524,72 @@ class TestExactOnes:
     def test_internal_errors_on_inconsistent_sums(self):
         layout = RegisterLayout.single(2)
         with pytest.raises(InternalCheckError):
-            exact_ones_multi({0b1: 3}, layout)  # 6 > period 3
+            exact_ones_multi({(1,): 3}, layout)  # 6 > period 3
         with pytest.raises(InternalCheckError):
-            exact_ones_multi({0b1: -1}, layout)
+            exact_ones_multi({(1,): -1}, layout)
         with pytest.raises(InternalCheckError, match="zero mask"):
-            exact_ones_multi({0: 1}, layout)
-
-    def test_width_mismatch(self):
-        # every mask must fit the layout's stages
-        with pytest.raises(ValidationError, match="does not fit the 5-stage"):
-            exact_ones_multi({0b1: 1, 1 << 5: 1}, RegisterLayout.single(5))
-        with pytest.raises(ValidationError, match="does not fit the 10-stage"):
-            exact_ones_multi({1 << 10: 1}, geffe_layout())
-        with pytest.raises(ValidationError):
-            exact_ones_multi({-1: 1}, RegisterLayout.single(5))
+            exact_ones_multi({(0,): 1}, layout)
+        with pytest.raises(InternalCheckError, match="zero mask"):
+            exact_ones_multi({(0, 0, 0): 1, (1, 0, 0): 1}, geffe_layout())
 
     def test_multi_register_count(self):
-        h = {A0B0: 1, C0: 1, B0C0: -1}
-        assert exact_ones_multi(h, geffe_layout()) == 392
+        # the Geffe sum {a0b0: 1, c0: 1, b0c0: -1}
+        weights = {(1, 1, 0): 1, (0, 0, 1): 1, (0, 1, 1): -1}
+        assert exact_ones_multi(weights, geffe_layout()) == 392
 
     def test_zero_segment_contributes_whole_register_period(self):
         # c0 alone: a and b contribute (2^2-1)(2^3-1), c contributes 2^4
-        h = {C0: 1}
-        assert exact_ones_multi(h, geffe_layout()) == 3 * 7 * 16
+        assert exact_ones_multi({(0, 0, 1): 1}, geffe_layout()) == 3 * 7 * 16
 
     def test_wide_layout_count(self):
+        # the sum {a0b0: 1, c0: 1, a0b0c0: -2}
         layout = RegisterLayout.from_lengths([("a", 7), ("b", 8), ("c", 9)])
-        a0b0 = (1 << 0) | (1 << 7)
-        c0 = 1 << 15
-        h = {a0b0: 1, c0: 1, a0b0 | c0: -2}
-        assert exact_ones_multi(h, layout) == 8282368
+        weights = {(1, 1, 0): 1, (0, 0, 1): 1, (1, 1, 1): -2}
+        assert exact_ones_multi(weights, layout) == 8282368
 
     def test_multi_rejects_non_coprime_layout(self):
         layout = RegisterLayout.from_lengths([("a", 2), ("b", 4)])
         with pytest.raises(ValidationError):
-            exact_ones_multi({0b1: 1}, layout)
+            exact_ones_multi({(1, 0): 1}, layout)
+
+    @settings(max_examples=150, deadline=None)
+    @given(engine_mixes())
+    # fold only, over one register and over Geffe's three
+    @example(function_of([0b0011, 0b0110, 0b1000], 4))
+    @example(AnfFunction(geffe_layout(), frozenset({A0B0, B0C0, C0})))
+    # dense only: m0*m_i ^ m_i, i = 1..10 (k = 11, n = 20)
+    @example(
+        function_of(
+            [1 | 1 << i for i in range(1, 11)] + [1 << i for i in range(1, 11)], 11
+        )
+    )
+    # mixed over a(3) b(4) c(7): the dense m0*m_i ^ m_i, i = 1..7, across all
+    # three registers, and the folds c1*c2 ^ c2 and c4 ^ c5*c6
+    @example(
+        AnfFunction(
+            RegisterLayout.from_lengths([("a", 3), ("b", 4), ("c", 7)]),
+            frozenset(
+                [1 | 1 << i for i in range(1, 8)]
+                + [1 << i for i in range(1, 8)]
+                + [0b11 << 8, 1 << 9, 1 << 11, 0b11 << 12]
+            ),
+        )
+    )
+    def test_histogram_count_equals_per_entry_count(self, f):
+        final_sum, weights = accumulate(f)
+        layout = f.layout
+        grouped: dict[tuple[int, ...], int] = {}
+        for mask, coeff in final_sum.items():
+            key = tuple(
+                (mask >> reg.offset & ((1 << reg.length) - 1)).bit_count()
+                for reg in layout.registers
+            )
+            grouped[key] = grouped.get(key, 0) + coeff
+        assert weights == {key: c for key, c in grouped.items() if c}
+        ones = analyze(f).ones
+        assert ones == per_entry_ones(final_sum, layout)
+        if layout.total_length <= 20:
+            assert ones == count_ones_truthtable(f)
 
 
 class TestExpansion:
