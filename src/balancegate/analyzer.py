@@ -218,10 +218,10 @@ def heuristic_findings(f: AnfFunction) -> list[RuleFinding]:
     """Bound the ones count by the variables that appear in every monomial.
 
     Write f = x_C * g, with x_C the product of the shared variables C.  Then
-    f is 1 only where every variable of C is, so over the joint period the
-    count is at most the product of N_r over the registers: N_r =
-    2**(len_r - c_r) for a register holding c_r >= 1 variables of C, and
-    2**len_r - 1 for any other.
+    f <= x_C pointwise, so over the joint period the count is at most the
+    ones count of the single minterm x_C: the product of N_r over the
+    registers, N_r = 2**(len_r - c_r) for a register holding c_r >= 1
+    variables of C, and 2**len_r - 1 for any other.
 
     Raises:
         ValidationError: if the register lengths are not pairwise coprime,
@@ -235,10 +235,7 @@ def heuristic_findings(f: AnfFunction) -> list[RuleFinding]:
         common &= t
     if not f.terms or not common:
         return []
-    bound = 1
-    for reg in layout.registers:
-        shared = (common >> reg.offset & ((1 << reg.length) - 1)).bit_count()
-        bound *= (1 << (reg.length - shared)) - (shared == 0)
+    bound = exact_ones_multi({layout.weights(common): 1}, layout)
     names = tuple(
         layout.variable_name(b) for b in range(layout.total_length) if common >> b & 1
     )

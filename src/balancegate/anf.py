@@ -119,6 +119,16 @@ class RegisterLayout:
             t *= (1 << reg.length) - 1
         return t
 
+    def weights(self, mask: int) -> tuple[int, ...]:
+        """How many stages of each register mask holds, in register order."""
+        # a list builds faster than a generator feeds tuple()
+        return tuple(
+            [
+                (mask >> reg.offset & ((1 << reg.length) - 1)).bit_count()
+                for reg in self.registers
+            ]
+        )
+
     def register_of(self, bit: int) -> Register:
         """The register owning a global bit position."""
         for reg in self.registers:
@@ -171,16 +181,6 @@ class AnfFunction:
                 raise ValidationError(
                     f"term mask {t!r} outside layout of {self.layout.total_length} bits"
                 )
-
-    def evaluate(self, assignment: int) -> int:
-        """Value at the given assignment; bit i of the integer is variable i."""
-        if not 0 <= assignment < (1 << self.layout.total_length):
-            raise ValidationError("assignment does not match layout width")
-        acc = 0
-        for t in self.terms:
-            if assignment & t == t:
-                acc ^= 1
-        return acc
 
     def to_text(self) -> str:
         """Render in the input grammar; round-trips through parse_function.

@@ -10,11 +10,11 @@ them instead (see `accumulate`); the truth table that transform starts from
 lists the minterms (see `minterm_expansion`).
 
 A minterm's share of the ones count depends only on how many stages its
-mask holds in each register, so the count reads the combination's weight
-histogram, per-register weight tuple to summed coefficient, not its entries
-(see `exact_ones_multi`).  The engine builds that histogram part by part
-while it builds the combination: from the transform's nonzero cells, or
-from the entries of a folded part.
+mask holds in each register, the weight tuple `RegisterLayout.weights`
+gives, so the count reads the combination's weight histogram, keyed by
+those tuples, not its entries (see `exact_ones_multi`).  The engine builds
+that histogram part by part while it builds the combination: from the
+transform's nonzero cells, or from the entries of a folded part.
 """
 
 from __future__ import annotations
@@ -83,13 +83,12 @@ def accumulate(
             max_entries: the fold's running sum after every mask, the dense
             engine's final sum, or the product of the component sums.
     """
-    places = _places(f.layout)
     parts = []
     count = 1
     for group in _components(sorted(f.terms)):
         # a partial product's count never exceeds the final one
         _check_cap(count - 1, max_entries, "at least ")
-        parts.append(_component_sum(group, max_entries, places))
+        parts.append(_component_sum(group, max_entries, f.layout))
         count *= 1 + len(parts[-1][0])
     _check_cap(count - 1, max_entries)
     # the largest sum is the base, so each XOR step copies only the smaller
@@ -97,27 +96,13 @@ def accumulate(
     (product, weights), *others = parts or [({}, {})]
     for part, part_weights in others:
         _xor_into(product, part)
-        _xor_into(weights, part_weights, add)
-    # each weight key back into its tuple, one column of digits per register
-    keys = list(weights)
-    columns = [[key // place % radix for key in keys] for _, place, radix in places]
-    return product, dict(zip(zip(*columns), weights.values()))
+        _xor_into(weights, part_weights, _add_weights)
+    return product, weights
 
 
-def _places(layout: RegisterLayout) -> list[tuple[int, int, int]]:
-    """(stage mask, place value, radix) of each register.
-
-    A weight key is the mixed-radix number sum(d_r * place_r) of a mask's
-    per-register weights d_r, with radix len_r + 1.  Weights of masks over
-    disjoint stages sum to at most len_r, so adding two keys adds their
-    weights digit by digit.
-    """
-    places = []
-    place = 1
-    for reg in layout.registers:
-        places.append((((1 << reg.length) - 1) << reg.offset, place, reg.length + 1))
-        place *= reg.length + 1
-    return places
+def _add_weights(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The weights of the union of two masks over disjoint stages."""
+    return tuple(map(add, a, b))
 
 
 def _components(masks: list[int]) -> list[list[int]]:
@@ -158,33 +143,30 @@ def _stages(mask: int) -> list[int]:
 
 
 def _component_sum(
-    masks: list[int], max_entries: int, places: list[tuple[int, int, int]]
-) -> tuple[dict[int, int], dict[int, int]]:
+    masks: list[int], max_entries: int, layout: RegisterLayout
+) -> tuple[dict[int, int], dict[tuple[int, ...], int]]:
     """One component's signed sum, from the engine its shape picks, and its
-    weight histogram, keyed as `_places` describes."""
+    weight histogram."""
     support = 0
     for mask in masks:
         support |= mask
     k = support.bit_count()
     n = len(masks)
-    # only the registers the component reads carry a weight
-    places = [p for p in places if p[0] & support]
     # the dense engine's k * 2**k entry-steps stay within the fold's
     # n * 2**min(n, k) when n >= k
     if k <= _DENSE_MAX_SUPPORT and n >= k and n << k > _FOLD_MAX_STEPS:
-        return _dense_sum(masks, max_entries, places)
+        return _dense_sum(masks, support, max_entries, layout)
     entries = _fold_sum(masks, max_entries)
-    return entries, _weights(entries, places)
+    return entries, _weights(entries, layout)
 
 
-def _weights(entries: dict[int, int], places) -> dict[int, int]:
-    """Weight histogram of a signed sum over the registers in places, which
-    hold every stage its masks read, one entry at a time."""
-    weights: dict[int, int] = {}
+def _weights(
+    entries: dict[int, int], layout: RegisterLayout
+) -> dict[tuple[int, ...], int]:
+    """Weight histogram of a signed sum, one entry at a time."""
+    weights: dict[tuple[int, ...], int] = {}
     for mask, coeff in entries.items():
-        key = 0
-        for segment, place, _ in places:
-            key += (mask & segment).bit_count() * place
+        key = layout.weights(mask)
         weights[key] = weights.get(key, 0) + coeff
     return {key: c for key, c in weights.items() if c}
 
@@ -202,8 +184,8 @@ def _xor_into(g: dict[int, int], h: dict[int, int], join=or_) -> None:
 
     The product g*h carries each pair of entries onto the union of their
     masks, whose expansion is the overlap of the two; entries that cancel
-    drop out of g.  With join=add the keys are weight keys, and the pair
-    lands on the sum of its weights instead.
+    drop out of g.  With join=_add_weights the keys are weight tuples, and
+    the pair lands on the element-wise sum of its weights instead.
     """
     delta = dict(h)
     get = delta.get
@@ -232,10 +214,10 @@ def _fold_sum(masks: list[int], max_entries: int) -> dict[int, int]:
 
 
 def _dense_sum(
-    masks: list[int], max_entries: int, places: list[tuple[int, int, int]]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """The final sum of `accumulate` as an integer Moebius transform, and its
-    weight histogram over the registers in places.
+    masks: list[int], support: int, max_entries: int, layout: RegisterLayout
+) -> tuple[dict[int, int], dict[tuple[int, ...], int]]:
+    """The final sum of `accumulate` as an integer Moebius transform over the
+    support bits of masks, and its weight histogram.
 
     k integer butterflies turn the truth table over the k support bits into
     the coefficients of the integer normal form: coefficient S is the sum of
@@ -243,7 +225,7 @@ def _dense_sum(
     """
     import numpy as np
 
-    bits, table = _truth_table(masks)
+    bits, table = _truth_table(masks, support)
     coeffs = table.astype(np.int32)
     del table
     for j in range(len(bits)):
@@ -256,45 +238,46 @@ def _dense_sum(
     global_masks = _bit_sums(indices, [1 << b for b in bits]).tolist()
     return (
         dict(zip(global_masks, values.tolist())),
-        _dense_weights(indices, values, bits, places),
+        _dense_weights(indices, values, support, layout),
     )
 
 
-def _dense_weights(indices, values, bits: list[int], places) -> dict[int, int]:
-    """Weight histogram of the nonzero cells of a transform over bits, over
-    the registers in places, which hold every one of the bits.
+def _dense_weights(
+    indices, values, support: int, layout: RegisterLayout
+) -> dict[tuple[int, ...], int]:
+    """Weight histogram, weight tuple to summed coefficient, of the nonzero
+    cells of a transform over the support bits.
 
-    Each cell first gets a local key, a mixed-radix number over the k_r
-    support bits of each register in places (radix k_r + 1), which stays
-    below 2**k; bit j of a projected index adds its register's local place.
-    The coefficients are summed per local key in int64, which holds them:
-    the k-bit transform has at most 2**k cells of magnitude at most
-    2**(k - 1), so each sum stays within 2**47.  The sums take
-    prod(k_r + 1) <= 2**k cells.  Each local key with a nonzero sum then
-    becomes a weight key, and each sum a Python int.
+    The support holds k_r stages of register r, and its bits run in
+    register order, so bit j of a projected index adds the place of its
+    register: each cell's weights d_r become the mixed-radix number with
+    radix k_r + 1, which stays below 2**k and indexes the sums.  The
+    coefficients are summed per index in int64, which holds them: the k-bit
+    transform has at most 2**k cells of magnitude at most 2**(k - 1), so each
+    sum stays within 2**47.  The digits of each nonzero sum's index then make
+    its weight tuple, and each sum becomes a Python int.
     """
     import numpy as np
 
-    local = []
+    radixes = [k_r + 1 for k_r in layout.weights(support)]
+    places = []
     per_bit = []
-    local_place = 1
-    for segment, place, _ in places:
-        k_r = sum(segment >> b & 1 for b in bits)
-        local.append((local_place, k_r + 1, place))
-        per_bit += [local_place] * k_r
-        local_place *= k_r + 1
-    sums = np.zeros(local_place, dtype=np.int64)
+    place = 1
+    for radix in radixes:
+        places.append(place)
+        per_bit += [place] * (radix - 1)
+        place *= radix
+    sums = np.zeros(place, dtype=np.int64)
     # int64 on both sides keeps add.at on its fast path
     np.add.at(sums, _bit_sums(indices, per_bit, np.intp), values.astype(np.int64))
     keys = np.flatnonzero(sums)
-    weights = np.zeros(keys.size, dtype=object)
-    for lp, radix, place in local:
-        weights += (keys // lp % radix).astype(object) * place
-    return dict(zip(weights.tolist(), sums[keys].tolist()))
+    digits = [(keys // place % radix).tolist() for place, radix in zip(places, radixes)]
+    return dict(zip(zip(*digits), sums[keys].tolist()))
 
 
-def _truth_table(masks: list[int]):
-    """Support bits and truth table of the XOR of the monomials in masks.
+def _truth_table(masks: list[int], support: int):
+    """Support bits and truth table of the XOR of the monomials in masks,
+    whose union is support.
 
     The masks, projected onto the k support bits (bit j of a projected index
     is stage bits[j]), XOR into an ANF table of 2**k cells, and k XOR
@@ -302,9 +285,6 @@ def _truth_table(masks: list[int]):
     """
     import numpy as np
 
-    support = 0
-    for mask in masks:
-        support |= mask
     bits = _stages(support)
     index = np.zeros(len(masks), dtype=np.int64)
     # only the 32-bit words that hold support bits
@@ -395,7 +375,7 @@ def minterm_expansion(f: AnfFunction) -> frozenset[int]:
             f"minterm expansion reads {k} variables, past the"
             f" {_DENSE_MAX_SUPPORT} it can take"
         )
-    bits, table = _truth_table(list(f.terms))
+    bits, table = _truth_table(list(f.terms), support)
     count = int(np.count_nonzero(table)) << (length - k)
     if not count:
         return frozenset()

@@ -81,6 +81,19 @@ def isolated_term_function(
     return AnfFunction(RegisterLayout.single(length), frozenset(terms)), j
 
 
+def evaluate(f: AnfFunction, x: int) -> int:
+    """Value of f at assignment x, bit i of x being global stage i."""
+    return sum(x & t == t for t in f.terms) & 1
+
+
+def support_of(masks) -> int:
+    """The stages any of the masks holds."""
+    support = 0
+    for mask in masks:
+        support |= mask
+    return support
+
+
 def naive_ones_count(f: AnfFunction) -> int:
     """Plain-loop oracle: walk every assignment with all segments nonzero."""
     layout = f.layout
@@ -129,13 +142,12 @@ def generate_output(g: GeneratorInstance, steps: int) -> list[int]:
         raise ValidationError("steps must be non-negative")
     states = [cfg.initial_state for cfg in g.lfsrs]
     offsets = [reg.offset for reg in g.layout.registers]
-    evaluate = g.function.evaluate
     out = []
     for _ in range(steps):
         joint = 0
         for s, off in zip(states, offsets):
             joint |= s << off
-        out.append(evaluate(joint))
+        out.append(evaluate(g.function, joint))
         for i, cfg in enumerate(g.lfsrs):
             _, states[i] = lfsr_step(states[i], cfg)
     return out

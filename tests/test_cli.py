@@ -77,6 +77,16 @@ LONG_WALK_SPEC = {
     "function": "m0",
 }
 
+# f never reads b, so a run walks no state of b, yet b's degree 25 is past
+# the polynomial verification bound: only --trust-poly lets a full period run
+UNREAD_LONG_SPEC = {
+    "registers": [
+        {"name": "a", "length": 3},
+        {"name": "b", "length": 25, "polynomial": [25, 3, 0]},
+    ],
+    "function": "a0",
+}
+
 
 @pytest.fixture
 def spec_file(tmp_path):
@@ -502,6 +512,31 @@ class TestVerifyCommand:
         assert "nothing to verify" in captured.err
         assert "--trust-poly" not in captured.err
 
+    @pytest.mark.parametrize("argv", [["verify"], ["simulate", "--full-period"]])
+    def test_unverifiable_polynomial_of_an_unread_register_needs_trust(
+        self, spec_file, capsys, monkeypatch, argv
+    ):
+        calls = []
+        monkeypatch.setattr(lfsr, "state_cycle", lambda *a: calls.append(a))
+        monkeypatch.setattr(lfsr, "_walk", lambda *a: calls.append(a))
+        code = main([argv[0], spec_file(UNREAD_LONG_SPEC), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert calls == []
+        if argv[0] == "verify":
+            assert captured.out.splitlines() == [
+                "symbolic:    134217724",
+                "truth-table: skipped (28-bit layout above the 20-bit truth-table"
+                " guard)",
+            ]
+        else:
+            assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "error: register b: degree 25 is above the verification bound 24;"
+            " the polynomial can only be trusted explicitly; pass --trust-poly"
+            " to proceed"
+        )
+
     def test_no_oracle_available(self, spec_file, capsys, monkeypatch):
         monkeypatch.setenv("BALANCEGATE_MAX_PERIOD", "100")
         data = {
@@ -634,10 +669,16 @@ class TestSpecFileValidation:
                 "registers": [{"name": "a", "length": 2}, {"name": "b", "length": 4}],
                 "function": "a0 ^ b0",
             },
+            {"registers": [5], "function": "a0"},
         ],
     )
     def test_rejected_descriptions(self, spec_file, capsys, data):
         assert main(["analyze", spec_file(data)]) == 2
+
+    def test_register_entry_must_be_an_object(self, spec_file, capsys):
+        data = {"registers": [5], "function": "a0"}
+        assert main(["analyze", spec_file(data)]) == 2
+        assert capsys.readouterr().err == "error: registers[0]: must be an object\n"
 
     def test_length_without_builtin_polynomial(self, spec_file, capsys):
         data = {"registers": [{"name": "m", "length": 21}], "function": "m0"}
@@ -861,13 +902,12 @@ from balancegate.analyzer import analyze
 from balancegate.lfsr import count_ones_truthtable
 masks, text = json.loads(sys.argv[1])
 f = parse_function(text, RegisterLayout.single(11))
-places = minterms._places(f.layout)
 ones = analyze(f).ones
 # only the dense engine has loaded numpy so far
 dense = "numpy" in sys.modules
 print(json.dumps(
     {"ones": ones, "dense": dense, "truthtable": count_ones_truthtable(f),
-     "sum": len(minterms._component_sum(masks, 100, places)[0])}
+     "sum": len(minterms._component_sum(masks, 100, f.layout)[0])}
 ))
 """
 
@@ -935,7 +975,7 @@ class TestColdStart:
             "dense": True,
             "truthtable": lfsr.count_ones_truthtable(f),
             "sum": len(
-                minterms._component_sum(DENSE_MASKS, 100, minterms._places(f.layout))[0]
+                minterms._component_sum(DENSE_MASKS, 100, f.layout)[0]
             ),
         }
         assert fresh["ones"] == fresh["truthtable"] and fresh["sum"] == 0

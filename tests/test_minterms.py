@@ -19,12 +19,14 @@ from balancegate.minterms import (
 from balancegate import minterms
 from conftest import (
     COPRIME_SHAPES,
+    evaluate,
     expansion,
     function_of,
     geffe_layout,
     minterm_function,
     per_entry_ones,
     random_function,
+    support_of,
 )
 
 TOY = "m2*m0 ^ m2*m1 ^ m1"
@@ -42,12 +44,6 @@ A0B0C0 = A0 | B0 | C0
 def fold(masks):
     """The fold of a mask list, duplicates and mask 0 allowed, in list order."""
     return minterms._fold_sum(masks, DEFAULT_MAX_SUM_ENTRIES)
-
-
-def places_of(width):
-    """The weight places of one width-stage register, which the engines
-    take with their masks."""
-    return minterms._places(RegisterLayout.single(width))
 
 
 class TestCommonDevelopment:
@@ -175,7 +171,7 @@ class TestAccumulate:
                         u |= m
                     closure.add(u)
             h, _ = minterms._component_sum(
-                masks, DEFAULT_MAX_SUM_ENTRIES, places_of(width)
+                masks, DEFAULT_MAX_SUM_ENTRIES, RegisterLayout.single(width)
             )
             assert h.keys() <= closure
 
@@ -318,11 +314,11 @@ class TestEngines:
     def test_dense_sum_equals_fold(self, case):
         width, masks = case
         cap = 1 << width
-        places = places_of(width)
+        layout = RegisterLayout.single(width)
         entries = minterms._fold_sum(masks, cap)
-        assert minterms._dense_sum(masks, cap, places) == (
+        assert minterms._dense_sum(masks, support_of(masks), cap, layout) == (
             entries,
-            minterms._weights(entries, places),
+            minterms._weights(entries, layout),
         )
 
     @settings(max_examples=300, deadline=None)
@@ -369,7 +365,8 @@ class TestEngines:
         # one component, k = 11 and n = 20, so the dense engine runs: the
         # fold's running sum would reach 1023 entries before cancelling
         masks = [1 | 1 << i for i in range(1, 11)] * 2
-        assert minterms._component_sum(masks, 100, places_of(11)) == ({}, {})
+        layout = RegisterLayout.single(11)
+        assert minterms._component_sum(masks, 100, layout) == ({}, {})
 
     def test_fold_serves_sparse_and_wide_supports(self, monkeypatch):
         def refuse(*args):
@@ -388,7 +385,7 @@ class TestEngines:
         expected = [
             per_entry_ones(
                 minterms._dense_sum(
-                    sorted(f.terms), 1 << 20, minterms._places(f.layout)
+                    sorted(f.terms), support_of(f.terms), 1 << 20, f.layout
                 )[0],
                 f.layout,
             )
@@ -410,12 +407,9 @@ class TestEngines:
         dense_sum = minterms._dense_sum
         widths = []
 
-        def recording(masks, max_entries, places):
-            support = 0
-            for mask in masks:
-                support |= mask
+        def recording(masks, support, max_entries, layout):
             widths.append(support.bit_count())
-            return dense_sum(masks, max_entries, places)
+            return dense_sum(masks, support, max_entries, layout)
 
         monkeypatch.setattr(minterms, "_dense_sum", recording)
         return widths
@@ -453,8 +447,8 @@ class TestEngines:
             minterms._fold_sum(masks, 1000)
         groups = minterms._components(masks)
         assert sorted(groups) == [[1 << i] * 2 for i in range(26)]
-        places = places_of(26)
-        assert [minterms._component_sum(g, 1000, places) for g in groups] == [
+        layout = RegisterLayout.single(26)
+        assert [minterms._component_sum(g, 1000, layout) for g in groups] == [
             ({}, {})
         ] * 26
 
@@ -464,14 +458,15 @@ class TestEngines:
         # the cap bounds that running sum too
         masks = [832, 8, 800, 9, 800, 8, 9]
         assert sorted(minterms._components(masks)) == [[8, 9, 8, 9], [832, 800, 800]]
+        layout = RegisterLayout.single(10)
         with pytest.raises(
             ResourceLimitError, match="has 3 entries, past the cap of 2;"
         ):
-            minterms._component_sum([832, 800, 800], 2, places_of(10))
-        # 832 holds three stages of the one register, weight key 3
-        assert minterms._component_sum([832, 800, 800], 3, places_of(10)) == (
+            minterms._component_sum([832, 800, 800], 2, layout)
+        # 832 holds three stages of the one register, weights (3,)
+        assert minterms._component_sum([832, 800, 800], 3, layout) == (
             {832: 1},
-            {3: 1},
+            {(3,): 1},
         )
 
     def test_dense_weights_need_no_bitwise_count(self, monkeypatch, dense_widths):
@@ -633,7 +628,7 @@ class TestExpansion:
             f = random_function(rng, layout, max_terms=8)
             expanded = minterm_expansion(f)
             support = {
-                x for x in range(1, 1 << length) if f.evaluate(x) == 1
+                x for x in range(1, 1 << length) if evaluate(f, x) == 1
             }
             assert expanded == support
 
@@ -655,7 +650,7 @@ class TestExpansion:
     @given(partly_read_functions())
     def test_minterms_are_the_ones_with_unread_stages(self, f):
         width = f.layout.total_length
-        ones = {b for b in range(1, 1 << width) if f.evaluate(b)}
+        ones = {b for b in range(1, 1 << width) if evaluate(f, b)}
         assert minterm_expansion(f) == ones
 
     def test_guard_bounds_the_minterms_not_the_monomials(self):
