@@ -1,14 +1,15 @@
 """Shift-register simulation: the brute-force ground truth for ones counting.
 
 States are integers with bit i holding stage i, so stage 0 is both the output
-stage and the least significant bit.  A clock emits stage 0, shifts every
-stage down by one, and feeds the XOR of the tapped stages into stage L-1.
-The taps come from the reciprocal of the connection polynomial: term x**e of
-P(x) taps stage L-e (the constant term is the shift itself, not a tap).
+stage and the least significant bit.  A clock, applied in `_walk` and nowhere
+else, emits stage 0, shifts every stage down by one, and feeds the XOR of the
+tapped stages into stage L-1.  The taps come from the reciprocal of the
+connection polynomial: term x**e of P(x) taps stage L-e (the constant term is
+the shift itself, not a tap).
 
 The registers themselves are plain ints.  numpy is imported only inside the
-two functions that build arrays, the chunked simulation and the truth-table
-walk, so importing this module, as every command does, does not load it.
+functions that build arrays, so importing this module, as every command does,
+does not load it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "PRIMITIVE_POLYNOMIALS",
     "LfsrConfig",
     "GeneratorInstance",
-    "lfsr_step",
     "state_cycle",
     "iter_output_chunks",
     "count_ones_simulated",
@@ -47,9 +47,10 @@ DEFAULT_SIMULATION_BUDGET = 1 << 31
 DEFAULT_VERIFICATION_BOUND = 24
 DEFAULT_TRUTHTABLE_BITS = 20
 
-# Vectorized output materializes the walked states of each register.
+# Vectorized output materializes the walked states of each register, each
+# followed by one chunk of its own start, so chunks stay small.
 _VECTOR_CYCLE_CAP = 1 << 24
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 
 # Two maximum-length connection polynomials per degree (only one exists for
 # degree 2), as exponent tuples, smallest coefficient masks first.  Every
@@ -156,22 +157,14 @@ class GeneratorInstance:
             raise ValidationError("function layout does not match generator layout")
 
 
-def lfsr_step(state: int, config: LfsrConfig) -> tuple[int, int]:
-    """One clock: return (output bit, next state)."""
-    if not 0 < state < (1 << config.length):
-        raise ValidationError("state must be nonzero and fit the register")
-    output = state & 1
-    feedback = (state & config.tap_mask).bit_count() & 1
-    return output, (state >> 1) | (feedback << (config.length - 1))
-
-
 def _walk(config: LfsrConfig, steps: int) -> tuple[list[int], int]:
     """The first `steps` states from the seed, and the state after them."""
+    taps, top = config.tap_mask, config.length - 1
     states = []
     s = config.initial_state
     for _ in range(steps):
         states.append(s)
-        _, s = lfsr_step(s, config)
+        s = (s >> 1) | (((s & taps).bit_count() & 1) << top)
     return states, s
 
 
@@ -194,14 +187,14 @@ def state_cycle(config: LfsrConfig) -> list[int]:
 
 
 def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]:
-    """Output bits as uint8 arrays, built from the stepped per-register walks.
+    """Output bits as uint8 arrays, built from the per-register walks.
 
-    Each register the function reads walks min(steps, 2**L - 1) states with
-    lfsr_step; a run longer than its period repeats its state_cycle, whose
-    seed-return check rejects a polynomial that does not sustain the period.
-    The joint state at step t is then a pure reindexing of the walks, packed
+    Each register the function reads walks min(steps, 2**L - 1) states; a run
+    longer than its period repeats its state_cycle, whose seed-return check
+    rejects a polynomial that does not sustain the period.  Each walk is packed
     from only the stages the function reads, so the function may read at most
-    62 of them; the combination is vectorized.
+    62 of them, and followed by its own start, so every chunk's joint states
+    are ORed from one slice of each walk; the combination is vectorized.
 
     Raises, at the call and before any register is walked:
         ValidationError: steps is negative.
@@ -247,6 +240,9 @@ def _output_chunks(walked: list, terms: list[int], steps: int) -> Iterator[np.nd
     """iter_output_chunks' walk and yield, once its limits have been checked."""
     import numpy as np
 
+    if not steps:  # nothing to yield, and an empty walk has no start to append
+        return
+    head = min(_CHUNK, steps)
     walks = []
     for cfg, stages in walked:
         period = (1 << cfg.length) - 1
@@ -256,19 +252,26 @@ def _output_chunks(walked: list, terms: list[int], steps: int) -> Iterator[np.nd
         walk = np.zeros(len(states), dtype=np.int64)
         for k, i in stages:
             walk |= ((raw >> i) & 1).astype(np.int64) << k
-        walks.append(walk)
-    start = 0
-    while start < steps:
+        # followed by its own first `head` entries, so no chunk wraps round
+        tail = np.tile(walk, -(-head // len(walk)))[:head]
+        walks.append((np.concatenate((walk, tail)), len(walk)))
+    for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
-        idx = np.arange(start, start + n, dtype=np.int64)
         joint = np.zeros(n, dtype=np.int64)
-        for walk in walks:
-            joint |= walk[idx % len(walk)]
-        out = np.zeros(n, dtype=bool)
-        for t in terms:
-            out ^= (joint & t) == t
-        yield out.astype(np.uint8)
-        start += n
+        for walk, length in walks:
+            s = start % length
+            joint |= walk[s : s + n]
+        yield _values(terms, joint).astype(np.uint8)
+
+
+def _values(terms: list[int], x: np.ndarray) -> np.ndarray:
+    """f at each assignment in x, as bools: the XOR of its terms' products."""
+    import numpy as np
+
+    out = np.zeros(len(x), dtype=bool)
+    for t in terms:
+        out ^= (x & t) == t
+    return out
 
 
 def count_ones_simulated(
@@ -321,9 +324,7 @@ def count_ones_truthtable(f: AnfFunction) -> int:
     import numpy as np
 
     x = np.arange(1 << length, dtype=np.int64)
-    on = np.zeros(1 << length, dtype=bool)
-    for t in sorted(f.terms):
-        on ^= (x & t) == t
+    on = _values(sorted(f.terms), x)
     valid = np.ones(1 << length, dtype=bool)
     for reg in layout.registers:
         valid &= ((x >> reg.offset) & ((1 << reg.length) - 1)) != 0

@@ -6,7 +6,7 @@ import random
 
 from balancegate.anf import AnfFunction, RegisterLayout
 from balancegate.errors import ValidationError
-from balancegate.lfsr import GeneratorInstance, lfsr_step
+from balancegate.lfsr import GeneratorInstance, LfsrConfig
 from balancegate.minterms import minterm_expansion
 
 # multi-register shapes with pairwise coprime lengths, total width <= 14
@@ -132,6 +132,20 @@ def per_entry_ones(entries: dict[int, int], layout: RegisterLayout) -> int:
     return total
 
 
+def step(state: int, cfg: LfsrConfig) -> int:
+    """The state after one clock, for a reference independent of `lfsr._walk`.
+
+    The taps are read from the polynomial itself, not from `cfg.tap_mask`:
+    term x**e of P(x), e >= 1, taps stage L - e, and their XOR enters stage
+    L - 1 as every stage moves down one.
+    """
+    feedback = 0
+    for e in cfg.polynomial:
+        if e:
+            feedback ^= state >> (cfg.length - e) & 1
+    return state >> 1 | feedback << (cfg.length - 1)
+
+
 def generate_output(g: GeneratorInstance, steps: int) -> list[int]:
     """First `steps` output bits, all registers clocking simultaneously.
 
@@ -149,5 +163,5 @@ def generate_output(g: GeneratorInstance, steps: int) -> list[int]:
             joint |= s << off
         out.append(evaluate(g.function, joint))
         for i, cfg in enumerate(g.lfsrs):
-            _, states[i] = lfsr_step(states[i], cfg)
+            states[i] = step(states[i], cfg)
     return out

@@ -829,25 +829,31 @@ class TestFuzz:
     """Random descriptions through the command line end in an exit code and,
     on failure, an error message; never in a traceback."""
 
-    @pytest.mark.parametrize("command", ["analyze", "check-rules", "expand", "verify"])
+    @pytest.mark.parametrize(
+        "command",
+        ["analyze", "check-rules", "expand", "verify", "simulate --full-period"],
+    )
     @settings(max_examples=100, deadline=None)
     @given(data=_specs())
     def test_exit_codes(self, tmp_path_factory, command, data):
         path = tmp_path_factory.getbasetemp() / "fuzz.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
-        # verify simulates no more than 2**16 bits per example
+        # verify and simulate clock no more than 2**16 bits per example
         budget = {"BALANCEGATE_MAX_PERIOD": str(1 << 16)}
         with mock.patch.dict(os.environ, budget), redirect_stdout(out), redirect_stderr(err):
-            code = main([command, str(path)])
-        # verify never returns 3, and 5 would be a disagreement of the counts
-        assert code in ((0, 2, 4) if command == "verify" else (0, 2, 3, 4))
+            code = main([*command.split(), str(path)])
+        # the commands that clock never return 3, and 5 would be a
+        # disagreement of verify's counts
+        clocks = command.split()[0] in ("verify", "simulate")
+        assert code in ((0, 2, 4) if clocks else (0, 2, 3, 4))
         if code in (2, 4):
             *notices, last = err.getvalue().splitlines()
             assert last.startswith("error: ")
-            # only verify clocks the registers, naming the defaults it picks
+            # only the commands that clock the registers name the defaults
+            # they pick
             assert all(line.startswith("notice: ") for line in notices)
-            assert command == "verify" or not notices
+            assert clocks or not notices
 
 
 class TestTopLevel:

@@ -20,7 +20,6 @@ from balancegate.lfsr import (
     count_ones_simulated,
     count_ones_truthtable,
     iter_output_chunks,
-    lfsr_step,
     state_cycle,
     verify_maximum_length,
 )
@@ -31,6 +30,7 @@ from conftest import (
     minterm_function,
     naive_ones_count,
     random_function,
+    step,
 )
 
 # the worked three-stage register: P = x^3 + x^2 + 1, seed 110 (stage 0 first)
@@ -105,23 +105,18 @@ class TestStepAndCycle:
     def test_worked_example_cycle(self):
         assert state_cycle(WORKED) == [3, 1, 4, 2, 5, 6, 7]
 
-    def test_step_emits_stage_zero(self):
-        out, nxt = lfsr_step(0b011, WORKED)
-        assert out == 1
-        assert nxt == 0b001
-
-    def test_step_rejects_bad_states(self):
-        with pytest.raises(ValidationError):
-            lfsr_step(0, WORKED)
-        with pytest.raises(ValidationError):
-            lfsr_step(8, WORKED)
-
     def test_cycle_visits_every_nonzero_state(self):
-        for length in range(2, 11):
-            cfg = LfsrConfig.standard(length)
-            states = state_cycle(cfg)
-            assert len(states) == (1 << length) - 1
-            assert set(states) == set(range(1, 1 << length))
+        rng = random.Random(3000)
+        for length, entries in PRIMITIVE_POLYNOMIALS.items():
+            for exponents in entries:
+                seed = rng.randrange(1, 1 << length)
+                cfg = LfsrConfig(length, frozenset(exponents), seed)
+                states = state_cycle(cfg)
+                assert len(states) == (1 << length) - 1
+                assert set(states) == set(range(1, 1 << length))
+                # each state, the last included, clocks into the next
+                for s, nxt in zip(states, states[1:] + states[:1]):
+                    assert step(s, cfg) == nxt
 
     def test_degenerate_single_stage(self):
         cfg = LfsrConfig(1, frozenset({1, 0}))
@@ -181,12 +176,15 @@ class TestGeneratorOutput:
                 continue
             configs = tuple(LfsrConfig.standard(r.length) for r in layout.registers)
             g = GeneratorInstance(layout, configs, f)
-            steps = layout.period() + 3
-            for chunk in (1, 7, 64, 10**6):
-                monkeypatch.setattr(lfsr, "_CHUNK", chunk)
-                chunks = list(iter_output_chunks(g, steps))
-                flat = [int(b) for arr in chunks for b in arr]
-                assert flat == generate_output(g, steps)
+            period = layout.period()
+            # none, part of one period, a few past it, and three laps and a bit
+            for steps in (0, period // 2, period + 3, 3 * period + 1):
+                expected = generate_output(g, steps)
+                for chunk in (1, 7, 64, 10**6):
+                    monkeypatch.setattr(lfsr, "_CHUNK", chunk)
+                    chunks = list(iter_output_chunks(g, steps))
+                    flat = [int(b) for arr in chunks for b in arr]
+                    assert flat == expected
 
     @pytest.mark.parametrize(
         "config, text, steps, error",
@@ -266,7 +264,7 @@ class TestVerifyMaximumLength:
             s = 1
             steps = 0
             while True:
-                _, s = lfsr_step(s, cfg)
+                s = step(s, cfg)
                 steps += 1
                 if s == 1 or steps > period:
                     break
