@@ -35,13 +35,19 @@ __all__ = [
 DEFAULT_MAX_SUM_ENTRIES = 1_000_000
 DEFAULT_MAX_EXPANSION_TERMS = 1 << 20
 # widest support the truth-table transform takes: its table has 2**k cells,
-# and int32 holds the dense engine's coefficients, whose magnitude stays
-# within 2**(k - 1)
+# and the dense engine's coefficients stay within 2**(k - 1) in magnitude, so
+# int32 holds them; the transform climbs int8 -> int16 -> int32, running each
+# butterfly j in the narrowest type that holds 2**j (see `_dense_sum`)
 _DENSE_MAX_SUPPORT = 24
 # fold entry-steps (n * 2**k, for n masks over k bits) under which a
 # component folds although the dense rule takes it: below this the fold beats
 # the transform's fixed numpy cost of 25-60 us (measured crossover, k = 1..10)
 _FOLD_MAX_STEPS = 1024
+# widest pair of halves, in bytes, whose butterfly walks across the pairs:
+# numpy's inner loop then runs over the 2**(k - j - 1) pairs, not over the
+# 2**j cells of one half, whose per-call cost dominates the low bits
+# (measured crossover: int32 at j = 3, a 64-byte pair, is slower walked across)
+_BUTTERFLY_ACROSS_BYTES = 32
 
 
 def accumulate(
@@ -221,16 +227,20 @@ def _dense_sum(
 
     k integer butterflies turn the truth table over the k support bits into
     the coefficients of the integer normal form: coefficient S is the sum of
-    (-1)**(|S| - |T|) * f(T) over the subsets T of S.
+    (-1)**(|S| - |T|) * f(T) over the subsets T of S.  They run in place on
+    the truth table's own buffer, read as int8.  After j butterflies every
+    magnitude is at most 2**(j - 1), so butterfly j needs a type that holds
+    2**j: the buffer widens to int16 just before butterfly 7 and to int32
+    just before butterfly 15, and int32 holds the 2**23 of 24 support bits.
     """
     import numpy as np
 
-    bits, table = _truth_table(masks, support)
-    coeffs = table.astype(np.int32)
-    del table
+    bits, coeffs = _truth_table(masks, support)
+    coeffs = coeffs.view(np.int8)
     for j in range(len(bits)):
-        pairs = coeffs.reshape(-1, 2, 1 << j)
-        pairs[:, 1, :] -= pairs[:, 0, :]
+        if 1 << j > np.iinfo(coeffs.dtype).max:
+            coeffs = coeffs.astype(f"i{2 * coeffs.itemsize}")
+        _butterfly(coeffs, j, np.subtract)
     _check_cap(int(np.count_nonzero(coeffs)), max_entries)
     indices = np.flatnonzero(coeffs)
     values = coeffs[indices]
@@ -298,9 +308,23 @@ def _truth_table(masks: list[int], support: int):
     table = np.zeros(1 << len(bits), dtype=np.uint8)
     np.bitwise_xor.at(table, index, 1)
     for j in range(len(bits)):
-        pairs = table.reshape(-1, 2, 1 << j)
-        pairs[:, 1, :] ^= pairs[:, 0, :]
+        _butterfly(table, j, np.bitwise_xor)
     return bits, table
+
+
+def _butterfly(table, j: int, op) -> None:
+    """Butterfly j of a transform, in place on table: each cell whose index
+    has bit j set becomes op(cell, its partner without bit j).
+
+    Narrow pairs are walked across, in C order over the transposed halves,
+    so that numpy's inner loop is long.
+    """
+    pairs = table.reshape(-1, 2, 1 << j)
+    lo, hi = pairs[:, 0, :], pairs[:, 1, :]
+    if (2 << j) * table.itemsize <= _BUTTERFLY_ACROSS_BYTES:
+        op(hi.T, lo.T, out=hi.T, order="C")
+    else:
+        op(hi, lo, out=hi)
 
 
 def _bit_sums(indices, values: list[int], dtype=object):
@@ -384,7 +408,12 @@ def minterm_expansion(f: AnfFunction) -> frozenset[int]:
             f"minterm expansion has {count} minterms, above the"
             f" {DEFAULT_MAX_EXPANSION_TERMS} guard"
         )
+    # the guards leave k <= 24 read stages and 2**(L - k) <= 2**20 minterms
+    # for each one of the table: at most 44 stages, so int64 holds every mask
     free = [b for b in range(length) if not support >> b & 1]
-    ones = _bit_sums(np.flatnonzero(table), [1 << b for b in bits])
-    spread = _bit_sums(np.arange(1 << len(free)), [1 << b for b in free])
-    return frozenset((ones[:, None] | spread).ravel().tolist())
+    ones = _bit_sums(np.flatnonzero(table), [1 << b for b in bits], np.int64)
+    spread = _bit_sums(np.arange(1 << len(free)), [1 << b for b in free], np.int64)
+    masks = (ones[:, None] | spread).ravel()
+    # ascending inserts fill the set's table in cache order
+    masks.sort()
+    return frozenset(masks.tolist())

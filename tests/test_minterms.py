@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -193,6 +194,42 @@ class TestAccumulate:
         assert len(minterms._fold_sum([429, 296, 213, 181], 5)) == 5
 
 
+def subset_transform(cells, signed):
+    """The transform of a table of 2**k cells, cell by cell from its
+    definition: cell S becomes the XOR of the cells T over the subsets T of
+    S, or with signed the sum of (-1)**(|S| - |T|) * cell T."""
+    out = []
+    for s in range(len(cells)):
+        total = 0
+        t = s
+        while True:
+            if signed:
+                total += (-1) ** (s ^ t).bit_count() * cells[t]
+            else:
+                total ^= cells[t]
+            if not t:
+                break
+            t = (t - 1) & s
+        out.append(total)
+    return out
+
+
+@st.composite
+def butterfly_tables(draw):
+    """(op, table): 2**k cells, k <= 10, in uint8 for XOR butterflies or in
+    int8, int16 or int32 for subtracting ones, each cell at most
+    max >> k in magnitude, so that no transform leaves the type."""
+    k = draw(st.integers(0, 10))
+    dtype = draw(st.sampled_from(["uint8", "int8", "int16", "int32"]))
+    if dtype == "uint8":
+        op, cells = np.bitwise_xor, st.integers(0, 255)
+    else:
+        bound = int(np.iinfo(dtype).max) >> k
+        op, cells = np.subtract, st.integers(-bound, bound)
+    table = draw(st.lists(cells, min_size=1 << k, max_size=1 << k))
+    return op, np.array(table, dtype=dtype)
+
+
 @st.composite
 def mask_lists(draw):
     """(width, masks) drawn from a small pool, so duplicates are common."""
@@ -320,6 +357,43 @@ class TestEngines:
             entries,
             minterms._weights(entries, layout),
         )
+
+    @pytest.mark.parametrize("m", [7, 8, 15, 16])
+    def test_dense_sum_at_the_dtype_edges(self, m):
+        # the parity x_0 ^ .. ^ x_{m-1} has coefficient (-2)**(|S| - 1) on
+        # each nonempty S, and x_m * (1 ^ parity), as x_m ^ x_m*x_0 ^ .. ^
+        # x_m*x_{m-1}, has 1 on x_m and the negated ones on S + x_m, which
+        # its cells hold from butterfly m - 1 on: between them they reach
+        # -2**(m - 1) and +2**(m - 1), the widest magnitudes after m
+        # butterflies, +128 past int8 at m = 8 and +32768 past int16 at 16
+        top = 1 << m
+        parity = {s: (-2) ** (s.bit_count() - 1) for s in range(1, top)}
+        guarded = {top: 1} | {s | top: -c for s, c in parity.items()}
+        reached = set(parity.values()) | set(guarded.values())
+        assert {-(top >> 1), top >> 1} <= reached
+        layout = RegisterLayout.single(m + 1)
+        for masks, expected in (
+            ([1 << i for i in range(m)], parity),
+            ([top] + [top | 1 << i for i in range(m)], guarded),
+        ):
+            assert minterms._dense_sum(
+                masks, support_of(masks), len(expected), layout
+            ) == (expected, minterms._weights(expected, layout))
+
+    @settings(max_examples=100, deadline=None)
+    @given(butterfly_tables())
+    @example((np.bitwise_xor, np.arange(1 << 10, dtype=np.uint8)))
+    @example((np.subtract, np.arange(1 << 10, dtype=np.int32) % 7 - 3))
+    def test_butterflies_make_the_subset_transform(self, case):
+        # every k >= 6 takes both ways through the pairs in every type: walked
+        # across while a pair spans at most 32 bytes (j <= 2 for int32, j <= 4
+        # for a byte), each pair in turn from j = 5 on
+        op, table = case
+        table = table.copy()
+        cells = table.tolist()
+        for j in range(table.size.bit_length() - 1):
+            minterms._butterfly(table, j, op)
+        assert table.tolist() == subset_transform(cells, op is np.subtract)
 
     @settings(max_examples=300, deadline=None)
     @given(functions())
