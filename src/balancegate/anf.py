@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import itemgetter
 
@@ -181,6 +182,14 @@ class AnfFunction:
                 raise ValidationError(
                     f"term mask {t!r} outside layout of {self.layout.total_length} bits"
                 )
+
+    @cached_property
+    def support(self) -> int:
+        """The mask of the stages any monomial reads."""
+        support = 0
+        for t in self.terms:
+            support |= t
+        return support
 
     def to_text(self) -> str:
         """Render in the input grammar; round-trips through parse_function.

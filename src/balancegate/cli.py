@@ -13,16 +13,16 @@ import sys
 
 from . import __version__
 from .analyzer import AnalysisReport, VerdictPolicy, analyze, findings
+from .anf import _shown
 from .errors import (
     BalanceGateError,
     DisagreementError,
+    MissingPolynomialError,
     ResourceLimitError,
-    UnverifiedPolynomialError,
     ValidationError,
 )
 from .lfsr import (
     DEFAULT_SIMULATION_BUDGET,
-    PRIMITIVE_POLYNOMIALS,
     count_ones_simulated,
     count_ones_truthtable,
     iter_output_chunks,
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     simulate_p.add_argument("spec", help="generator description file")
     group = simulate_p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--steps", type=int, metavar="N", help="number of bits")
+    group.add_argument("--steps", type=_int, metavar="N", help="number of bits")
     group.add_argument(
         "--full-period", action="store_true", help="run one whole period"
     )
@@ -96,13 +96,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(raw: str) -> int:
+def _int(raw: str) -> int:
+    """argparse's type=int, with a long value quoted cut as parse errors are."""
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(raw)}") from None
+
+
+def _positive_int(raw: str) -> int:
+    value = _int(raw)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        got = value if len(raw) <= 20 else _shown(raw)
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {got}")
     return value
 
 
@@ -139,7 +145,7 @@ def _resolve_budget() -> int:
         value = int(raw)
     except ValueError:
         raise ValidationError(
-            f"{ENV_MAX_PERIOD} must be an integer, got {raw!r}"
+            f"{ENV_MAX_PERIOD} must be an integer, got {_shown(raw)}"
         ) from None
     if value < 1:
         raise ValidationError(f"{ENV_MAX_PERIOD} must be positive")
@@ -259,40 +265,22 @@ def _cmd_verify(args) -> int:
     print(f"symbolic:    {symbolic}")
 
     results = [symbolic]
-    try:
-        truth = count_ones_truthtable(f)
-    except ResourceLimitError as exc:
-        print(f"truth-table: skipped ({exc})")
-    else:
-        results.append(truth)
-        print(f"truth-table: {truth}")
-
-    # a register with neither a pinned nor a built-in polynomial cannot clock
-    unpinned = next(
-        (
-            reg
-            for reg in spec.registers
-            if reg.polynomial is None and reg.length not in PRIMITIVE_POLYNOMIALS
+    oracles = {
+        "truth-table": lambda: count_ones_truthtable(f),
+        "simulated": lambda: count_ones_simulated(
+            spec.instance(notice=_notice),
+            max_steps=budget,
+            verify_polynomials=not args.trust_poly,
         ),
-        None,
-    )
-    if unpinned is not None:
-        print(
-            f"simulated:   skipped (register {unpinned.name}: no built-in"
-            f" maximum-length polynomial for length {unpinned.length})"
-        )
-    else:
+    }
+    for name, oracle in oracles.items():
         try:
-            simulated = count_ones_simulated(
-                spec.instance(notice=_notice),
-                max_steps=budget,
-                verify_polynomials=not args.trust_poly,
-            )
-        except ResourceLimitError as exc:
-            print(f"simulated:   skipped ({exc})")
+            count = oracle()
+        except (ResourceLimitError, MissingPolynomialError) as exc:
+            print(f"{name + ':':<12} skipped ({exc})")
         else:
-            results.append(simulated)
-            print(f"simulated:   {simulated}")
+            results.append(count)
+            print(f"{name + ':':<12} {count}")
 
     if len(results) < 2:
         raise ValidationError(
@@ -326,11 +314,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UnverifiedPolynomialError as exc:
-        print(f"error: {exc}; pass --trust-poly to proceed", file=sys.stderr)
-        return exc.exit_code
     except BalanceGateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = f"; {exc.hint}" if exc.hint else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
-"""Exception hierarchy; every error carries the CLI exit code it maps to."""
+"""Exception hierarchy; every error carries the CLI exit code it maps to, and
+a `hint`, empty by default, that the CLI prints as "error: <message>; <hint>"."""
 
 
 class BalanceGateError(Exception):
     """Base class for all errors raised by this package."""
 
     exit_code = 1
+    hint = ""
 
 
 class ValidationError(BalanceGateError):
@@ -19,6 +21,14 @@ class ExpressionError(ValidationError):
 
 class UnverifiedPolynomialError(ValidationError):
     """Polynomial degree is above the verification bound and was not trusted."""
+
+    hint = "pass --trust-poly to proceed"
+
+
+class MissingPolynomialError(ValidationError):
+    """A register length has no built-in polynomial and none was pinned."""
+
+    hint = "supply one explicitly"
 
 
 class ResourceLimitError(BalanceGateError):

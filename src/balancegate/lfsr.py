@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .anf import MAX_STAGES, AnfFunction, RegisterLayout
 from .errors import (
+    MissingPolynomialError,
     ResourceLimitError,
     UnverifiedPolynomialError,
     ValidationError,
@@ -115,9 +116,8 @@ class LfsrConfig:
     def standard(cls, length: int, initial_state: int | None = None) -> "LfsrConfig":
         """Config using the first built-in maximum-length polynomial."""
         if length not in PRIMITIVE_POLYNOMIALS:
-            raise ValidationError(
-                f"no built-in maximum-length polynomial for length {length};"
-                " supply one explicitly"
+            raise MissingPolynomialError(
+                f"no built-in maximum-length polynomial for length {length}"
             )
         exponents = PRIMITIVE_POLYNOMIALS[length][0]
         return cls(length, frozenset(exponents), initial_state)
@@ -203,11 +203,8 @@ def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]
     """
     if steps < 0:
         raise ValidationError("steps must be non-negative")
-    support = 0
-    for t in g.function.terms:
-        support |= t
     # packed bit k of a joint state holds global stage read[k]
-    read = [b for b in range(g.layout.total_length) if support >> b & 1]
+    read = [b for b in range(g.layout.total_length) if g.function.support >> b & 1]
     if len(read) > 62:
         raise ResourceLimitError(
             f"function reads {len(read)} stages, too many to pack joint states"

@@ -390,9 +390,7 @@ def minterm_expansion(f: AnfFunction) -> frozenset[int]:
     import numpy as np
 
     length = f.layout.total_length
-    support = 0
-    for mask in f.terms:
-        support |= mask
+    support = f.support
     k = support.bit_count()
     if k > _DENSE_MAX_SUPPORT:
         raise ResourceLimitError(

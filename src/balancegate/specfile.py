@@ -25,7 +25,7 @@ from typing import Callable
 
 from .analyzer import VerdictPolicy
 from .anf import AnfFunction, RegisterLayout, parse_function
-from .errors import ValidationError
+from .errors import MissingPolynomialError, ValidationError
 from .lfsr import GeneratorInstance, LfsrConfig
 
 __all__ = ["RegisterSpec", "GeneratorSpec", "load_spec", "parse_spec"]
@@ -47,21 +47,19 @@ class GeneratorSpec:
     """Validated file content, still symbolic (no LFSR configs built yet)."""
 
     registers: tuple[RegisterSpec, ...]
+    layout: RegisterLayout
     function_text: str
     tolerance: Fraction | None
 
-    def layout(self) -> RegisterLayout:
-        return RegisterLayout.from_lengths([(r.name, r.length) for r in self.registers])
-
     def function(self) -> AnfFunction:
-        return parse_function(self.function_text, self.layout())
+        return parse_function(self.function_text, self.layout)
 
     def instance(self, *, notice: Callable[[str], None] | None = None) -> GeneratorInstance:
         """Build a runnable generator, filling in defaults where the file is
         silent: the built-in polynomial for the length, and an all-ones seed.
-        Each applied default is reported through `notice`.
+        A register with no polynomial to use raises MissingPolynomialError
+        before `notice` reports any applied default.
         """
-        layout = self.layout()
         configs = []
         for reg in self.registers:
             if reg.polynomial is not None:
@@ -71,20 +69,20 @@ class GeneratorSpec:
             else:
                 try:
                     cfg = LfsrConfig.standard(reg.length, reg.initial_state)
-                except ValidationError as exc:
-                    raise ValidationError(f"register {reg.name}: {exc}") from None
-                if notice is not None:
+                except MissingPolynomialError as exc:
+                    raise MissingPolynomialError(f"register {reg.name}: {exc}") from None
+            configs.append(cfg)
+        if notice is not None:
+            for reg, cfg in zip(self.registers, configs):
+                if reg.polynomial is None:
                     degrees = "+".join(
                         f"x^{e}" if e else "1"
                         for e in sorted(cfg.polynomial, reverse=True)
                     )
-                    notice(
-                        f"register {reg.name}: using built-in polynomial {degrees}"
-                    )
-            if reg.initial_state is None and notice is not None:
-                notice(f"register {reg.name}: using all-ones initial state")
-            configs.append(cfg)
-        return GeneratorInstance(layout, tuple(configs), self.function())
+                    notice(f"register {reg.name}: using built-in polynomial {degrees}")
+                if reg.initial_state is None:
+                    notice(f"register {reg.name}: using all-ones initial state")
+        return GeneratorInstance(self.layout, tuple(configs), self.function())
 
 
 def load_spec(path: str) -> GeneratorSpec:
@@ -111,9 +109,9 @@ def parse_spec(data) -> GeneratorSpec:
     if not isinstance(raw_registers, list) or not raw_registers:
         raise ValidationError('"registers" must be a non-empty list')
     registers = tuple(_parse_register(entry, i) for i, entry in enumerate(raw_registers))
-    # the layout's rules, its stage cap among them, keep a huge length out
-    # of LfsrConfig
-    RegisterLayout.from_lengths([(r.name, r.length) for r in registers])
+    # built before any LfsrConfig, so a length past the stage cap is refused
+    # with the layout's message, which names the cap for the whole layout
+    layout = RegisterLayout.from_lengths([(r.name, r.length) for r in registers])
     for i, reg in enumerate(registers):
         # x^L + 1 stands in for an unpinned polynomial: it only has to be well formed
         exponents = (reg.length, 0) if reg.polynomial is None else reg.polynomial
@@ -130,7 +128,7 @@ def parse_spec(data) -> GeneratorSpec:
     if "tolerance" in data:
         tolerance = VerdictPolicy(data["tolerance"]).relative_tolerance
 
-    return GeneratorSpec(registers, function_text, tolerance)
+    return GeneratorSpec(registers, layout, function_text, tolerance)
 
 
 def _parse_register(entry, index: int) -> RegisterSpec:

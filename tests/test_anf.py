@@ -7,7 +7,13 @@ import pytest
 
 from balancegate.anf import AnfFunction, Register, RegisterLayout, parse_function
 from balancegate.errors import ExpressionError, ValidationError
-from conftest import COPRIME_SHAPES, evaluate, geffe_layout, random_function
+from conftest import (
+    COPRIME_SHAPES,
+    evaluate,
+    geffe_layout,
+    random_function,
+    support_of,
+)
 
 
 class TestRegisterLayout:
@@ -151,6 +157,14 @@ class TestAnfFunction:
     def test_render_orders_terms_and_variables_descending(self):
         f = parse_function("m1 ^ m0*m2 ^ m2*m1", RegisterLayout.single(3))
         assert f.to_text() == "m2*m1 ^ m2*m0 ^ m1"
+
+    def test_support_is_the_union_of_the_monomials(self):
+        assert AnfFunction(RegisterLayout.single(4), frozenset()).support == 0
+        rng = random.Random(1004)
+        for _ in range(200):
+            layout = _random_layout(rng)
+            f = random_function(rng, layout)
+            assert f.support == support_of(f.terms)
 
 
 def _random_layout(rng):

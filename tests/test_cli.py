@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balancegate import lfsr, minterms
+from balancegate import errors, lfsr, minterms
 from balancegate.analyzer import analyze
 from balancegate.anf import AnfFunction, RegisterLayout, parse_function
 from balancegate.cli import _DumpWriter, main
+from balancegate.errors import MissingPolynomialError
 from balancegate.lfsr import PRIMITIVE_POLYNOMIALS
 from balancegate.specfile import parse_spec
 from conftest import COPRIME_SHAPES, generate_output
@@ -75,6 +76,12 @@ LONG_REGISTER_SPEC = {
 LONG_WALK_SPEC = {
     "registers": [{"name": "m", "length": 25, "polynomial": [25, 3, 0]}],
     "function": "m0",
+}
+
+# a has a built-in polynomial and b has none, so a simulation cannot clock
+UNPINNED_17_SPEC = {
+    "registers": [{"name": "a", "length": 3}, {"name": "b", "length": 17}],
+    "function": "a0*b0 ^ b1",
 }
 
 # f never reads b, so a run walks no state of b, yet b's degree 25 is past
@@ -489,6 +496,17 @@ class TestVerifyCommand:
         assert main(["verify", spec_file(data)]) == 2
         assert "not maximum-length" in capsys.readouterr().err
 
+    def test_skipped_simulation_prints_no_notice(self, spec_file, capsys):
+        assert main(["verify", spec_file(UNPINNED_17_SPEC)]) == 0
+        assert capsys.readouterr() == (
+            "symbolic:    458752\n"
+            "truth-table: 458752\n"
+            "simulated:   skipped (register b: no built-in maximum-length"
+            " polynomial for length 17)\n"
+            "agreement:   PASS\n",
+            "",
+        )
+
     def test_missing_polynomial_is_named_over_the_budget(
         self, spec_file, capsys, monkeypatch
     ):
@@ -680,11 +698,27 @@ class TestSpecFileValidation:
         assert main(["analyze", spec_file(data)]) == 2
         assert capsys.readouterr().err == "error: registers[0]: must be an object\n"
 
+    def test_instance_resolves_every_register_before_any_notice(self):
+        spec = parse_spec(UNPINNED_17_SPEC)
+        notices = []
+        with pytest.raises(MissingPolynomialError, match="^register b: no built-in"):
+            spec.instance(notice=notices.append)
+        assert notices == []
+        spec = parse_spec(GEFFE_SPEC)
+        g = spec.instance(notice=notices.append)
+        assert len(notices) == 6
+        assert g.layout is spec.layout
+        assert spec.function().layout is spec.layout
+
     def test_length_without_builtin_polynomial(self, spec_file, capsys):
-        data = {"registers": [{"name": "m", "length": 21}], "function": "m0"}
-        code = main(["simulate", spec_file(data), "--steps", "5"])
+        # b is named before a's defaults would be
+        code = main(["simulate", spec_file(UNPINNED_17_SPEC), "--steps", "5"])
         assert code == 2
-        assert "no built-in" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "",
+            "error: register b: no built-in maximum-length polynomial for length"
+            " 17; supply one explicitly\n",
+        )
 
 
 class TestIntegerLimits:
@@ -725,6 +759,28 @@ class TestIntegerLimits:
         path = spec_file({"registers": registers, "function": function})
         err = self.assert_refused(capsys, ["analyze", path])
         assert len(err) <= 200
+
+    def test_budget_env_of_5000_digits(self, spec_file, capsys, monkeypatch):
+        monkeypatch.setenv("BALANCEGATE_MAX_PERIOD", "9" * 5000)
+        err = self.assert_refused(capsys, ["verify", spec_file(GEFFE_SPEC)])
+        assert len(err) <= 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--steps", "9" * 5000],
+            ["analyze", "--max-h-entries", "9" * 5000],
+            ["analyze", "--max-h-entries", "-" + "9" * 4000],
+        ],
+        ids=["steps", "max-h-entries", "max-h-entries-negative"],
+    )
+    def test_option_of_5000_digits(self, spec_file, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], spec_file(GEFFE_SPEC), *argv[1:]])
+        assert info.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert f"error: argument {argv[1]}: " in last
+        assert len(last) <= 200
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_more_than_10000_stages(self, spec_file, capsys, flags):
@@ -872,6 +928,42 @@ class TestTopLevel:
             main(["--version"])
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("balancegate ")
+
+
+# every error type and the hint main prints after its message
+_HINTS = {
+    errors.BalanceGateError: "",
+    errors.ValidationError: "",
+    errors.ExpressionError: "",
+    errors.UnverifiedPolynomialError: "pass --trust-poly to proceed",
+    errors.MissingPolynomialError: "supply one explicitly",
+    errors.ResourceLimitError: "",
+    errors.DisagreementError: "",
+    errors.InternalCheckError: "",
+}
+
+
+class TestErrorHints:
+    def test_every_error_type_is_listed(self):
+        types = {
+            value
+            for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, errors.BalanceGateError)
+        }
+        assert types == set(_HINTS)
+
+    @pytest.mark.parametrize("error", list(_HINTS), ids=lambda e: e.__name__)
+    def test_main_appends_the_hint(self, spec_file, capsys, monkeypatch, error):
+        def refuse(path):
+            raise error("it went wrong")
+
+        monkeypatch.setattr("balancegate.cli.load_spec", refuse)
+        assert main(["analyze", spec_file(GEFFE_SPEC)]) == error.exit_code
+        hint = _HINTS[error]
+        assert capsys.readouterr() == (
+            "",
+            f"error: it went wrong; {hint}\n" if hint else "error: it went wrong\n",
+        )
 
 
 # the cli-cold benchmark's 128-stage design and its malformed description,

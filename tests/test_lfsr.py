@@ -9,6 +9,7 @@ import pytest
 from balancegate import lfsr
 from balancegate.anf import MAX_STAGES, RegisterLayout, parse_function
 from balancegate.errors import (
+    MissingPolynomialError,
     ResourceLimitError,
     UnverifiedPolynomialError,
     ValidationError,
@@ -56,8 +57,10 @@ class TestLfsrConfig:
     def test_standard_uses_table(self):
         cfg = LfsrConfig.standard(5)
         assert cfg.polynomial == frozenset({5, 2, 0})
-        with pytest.raises(ValidationError):
+        with pytest.raises(MissingPolynomialError) as info:
             LfsrConfig.standard(17)
+        assert isinstance(info.value, ValidationError)
+        assert str(info.value) == "no built-in maximum-length polynomial for length 17"
 
     def test_tap_mask_is_reciprocal(self):
         # x^3 taps stage 0, x^2 taps stage 1, constant term is no tap
