@@ -28,7 +28,9 @@ __all__ = [
 # within Python's 4300-digit limit on converting an int to text
 MAX_STAGES = 10_000
 
-_VAR_RE = re.compile(r"([A-Za-z]?)([0-9]+)")
+# a register's name, and the letter its variables start with
+_LETTER = "[A-Za-z]"
+_VAR_RE = re.compile(f"({_LETTER}?)([0-9]+)")
 _XOR_SPLIT = re.compile(r"[+^]")
 
 
@@ -53,7 +55,7 @@ class RegisterLayout:
         seen = set()
         offset = 0
         for reg in self.registers:
-            if len(reg.name) != 1 or not reg.name.isalpha():
+            if not re.fullmatch(_LETTER, reg.name):
                 raise ValidationError(
                     f"register name must be a single letter, got {reg.name!r}"
                 )

@@ -15,7 +15,7 @@ does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Iterator
 
 from .anf import MAX_STAGES, AnfFunction, RegisterLayout
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_SIMULATION_BUDGET",
     "DEFAULT_VERIFICATION_BOUND",
     "DEFAULT_TRUTHTABLE_BITS",
-    "PRIMITIVE_POLYNOMIALS",
     "LfsrConfig",
     "GeneratorInstance",
     "state_cycle",
@@ -52,28 +51,6 @@ DEFAULT_TRUTHTABLE_BITS = 20
 # followed by one chunk of its own start, so chunks stay small.
 _VECTOR_CYCLE_CAP = 1 << 24
 _CHUNK = 1 << 16
-
-# Two maximum-length connection polynomials per degree (only one exists for
-# degree 2), as exponent tuples, smallest coefficient masks first.  Every
-# entry is re-verified by the test suite.
-PRIMITIVE_POLYNOMIALS: dict[int, tuple[tuple[int, ...], ...]] = {
-    2: ((2, 1, 0),),
-    3: ((3, 1, 0), (3, 2, 0)),
-    4: ((4, 1, 0), (4, 3, 0)),
-    5: ((5, 2, 0), (5, 3, 0)),
-    6: ((6, 1, 0), (6, 4, 3, 1, 0)),
-    7: ((7, 1, 0), (7, 3, 0)),
-    8: ((8, 4, 3, 2, 0), (8, 5, 3, 1, 0)),
-    9: ((9, 4, 0), (9, 4, 3, 1, 0)),
-    10: ((10, 3, 0), (10, 4, 3, 1, 0)),
-    11: ((11, 2, 0), (11, 4, 2, 1, 0)),
-    12: ((12, 6, 4, 1, 0), (12, 6, 5, 3, 0)),
-    13: ((13, 4, 3, 1, 0), (13, 5, 2, 1, 0)),
-    14: ((14, 5, 3, 1, 0), (14, 5, 4, 3, 0)),
-    15: ((15, 1, 0), (15, 4, 0)),
-    16: ((16, 5, 3, 2, 0), (16, 5, 4, 3, 0)),
-}
-
 
 @dataclass(frozen=True)
 class LfsrConfig:
@@ -114,13 +91,20 @@ class LfsrConfig:
 
     @classmethod
     def standard(cls, length: int, initial_state: int | None = None) -> "LfsrConfig":
-        """Config using the first built-in maximum-length polynomial."""
-        if length not in PRIMITIVE_POLYNOMIALS:
+        """Config using the built-in polynomial: the maximum-length one with
+        the smallest coefficient mask, for lengths 2 to
+        DEFAULT_VERIFICATION_BOUND, where verify_maximum_length vouches for it.
+
+        Raises:
+            MissingPolynomialError: any other length.
+        """
+        if not 2 <= length <= DEFAULT_VERIFICATION_BOUND:
             raise MissingPolynomialError(
                 f"no built-in maximum-length polynomial for length {length}"
             )
-        exponents = PRIMITIVE_POLYNOMIALS[length][0]
-        return cls(length, frozenset(exponents), initial_state)
+        mask = _smallest_primitive(length)
+        exponents = frozenset(e for e in range(length + 1) if mask >> e & 1)
+        return cls(length, exponents, initial_state)
 
     @cached_property
     def tap_mask(self) -> int:
@@ -410,6 +394,17 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         factors.append(n)
     return factors
+
+
+@cache
+def _smallest_primitive(degree: int) -> int:
+    # an even number of terms makes x + 1 a factor, so only odd weights can be
+    # primitive; the scan starts at x^degree + 1 and always ends (there is a
+    # primitive polynomial of every degree)
+    poly = (1 << degree) | 1
+    while poly.bit_count() % 2 == 0 or not _is_primitive(poly, degree):
+        poly += 2
+    return poly
 
 
 def _is_primitive(poly: int, degree: int) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from balancegate.anf import AnfFunction, RegisterLayout
 from balancegate.errors import ValidationError
@@ -144,6 +145,37 @@ def step(state: int, cfg: LfsrConfig) -> int:
         if e:
             feedback ^= state >> (cfg.length - e) & 1
     return state >> 1 | feedback << (cfg.length - 1)
+
+
+def returns_after_period(cfg: LfsrConfig) -> bool:
+    """Whether the walk by `step` from the seed first comes back to it after
+    exactly 2**L - 1 clocks, the period of a maximum-length register."""
+    period = (1 << cfg.length) - 1
+    s = cfg.initial_state
+    for clocks in range(1, period + 1):
+        s = step(s, cfg)
+        if s == cfg.initial_state:
+            return clocks == period
+    return False
+
+
+@cache
+def maximum_length_polynomials(length: int) -> tuple[tuple[int, ...], ...]:
+    """The two maximum-length polynomials of a degree with the smallest
+    coefficient masks, as exponent tuples, found by `returns_after_period`
+    alone.  Degree 2 has only one, and below degree 2 none is returned: the
+    library has no built-in there."""
+    found = []
+    # x^length and 1 with every set of middle terms, in ascending mask order
+    for middle in range(1 << (length - 1) if length >= 2 else 0):
+        exponents = frozenset(
+            {length, 0} | {e for e in range(1, length) if middle >> (e - 1) & 1}
+        )
+        if returns_after_period(LfsrConfig(length, exponents, 1)):
+            found.append(tuple(sorted(exponents, reverse=True)))
+            if len(found) == 2:
+                break
+    return tuple(found)
 
 
 def generate_output(g: GeneratorInstance, steps: int) -> list[int]:

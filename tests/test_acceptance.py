@@ -17,7 +17,6 @@ from balancegate.anf import AnfFunction, RegisterLayout, parse_function
 from balancegate.lfsr import (
     GeneratorInstance,
     LfsrConfig,
-    PRIMITIVE_POLYNOMIALS,
     count_ones_simulated,
     count_ones_truthtable,
 )
@@ -29,6 +28,7 @@ from conftest import (
     generate_output,
     geffe_layout,
     isolated_term_function,
+    maximum_length_polynomials,
     minterm_function,
     random_function,
 )
@@ -141,8 +141,9 @@ def test_oracle_equivalence_suite():
         f = random_function(rng, layout)
         assert analyze(f).ones == count_ones_truthtable(f), f.to_text()
 
-    # 50 of them simulated as well, under both built-in polynomials per
-    # degree: the count must not depend on the polynomial or seed choice
+    # 50 of them simulated as well, under the two maximum-length polynomials
+    # of each degree with the smallest masks: the count must not depend on
+    # the polynomial or seed choice
     simulated_shapes = [s for s in COPRIME_SHAPES if all(n >= 3 for _, n in s)]
     for k in range(50):
         if k % 2 == 0:
@@ -156,7 +157,7 @@ def test_oracle_equivalence_suite():
         for choice in (0, 1):
             configs = []
             for reg in layout.registers:
-                table = PRIMITIVE_POLYNOMIALS[reg.length]
+                table = maximum_length_polynomials(reg.length)
                 exponents = table[min(choice, len(table) - 1)]
                 seed = rng.randrange(1, 1 << reg.length)
                 configs.append(LfsrConfig(reg.length, frozenset(exponents), seed))

@@ -2,6 +2,7 @@
 
 import random
 import re
+import string
 
 import pytest
 
@@ -39,6 +40,9 @@ class TestRegisterLayout:
             (Register("a", 0, 0),),
             (Register("a", 3, 0), Register("a", 4, 3)),
             (Register("a", 3, 0), Register("b", 4, 5)),
+            # letters to str.isalpha(), but no variable token starts with one
+            (Register("é", 3, 0),),
+            (Register("ª", 3, 0),),
         ],
     )
     def test_invalid_layouts_rejected(self, regs):
@@ -186,6 +190,9 @@ def _round_trip_layouts(rng):
         yield _random_layout(rng)
     for shape in _WIDE_SHAPES * 20:
         yield RegisterLayout.from_lengths(list(shape))
+    # every name a register may have
+    for name in string.ascii_letters:
+        yield RegisterLayout.from_lengths([(name, 5)])
 
 
 def test_parse_render_round_trip():

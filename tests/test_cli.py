@@ -19,9 +19,8 @@ from balancegate.analyzer import analyze
 from balancegate.anf import AnfFunction, RegisterLayout, parse_function
 from balancegate.cli import _DumpWriter, main
 from balancegate.errors import MissingPolynomialError
-from balancegate.lfsr import PRIMITIVE_POLYNOMIALS
 from balancegate.specfile import parse_spec
-from conftest import COPRIME_SHAPES, generate_output
+from conftest import COPRIME_SHAPES, generate_output, maximum_length_polynomials
 
 GEFFE_SPEC = {
     "registers": [
@@ -78,9 +77,10 @@ LONG_WALK_SPEC = {
     "function": "m0",
 }
 
-# a has a built-in polynomial and b has none, so a simulation cannot clock
-UNPINNED_17_SPEC = {
-    "registers": [{"name": "a", "length": 3}, {"name": "b", "length": 17}],
+# a has a built-in polynomial and b, past the verification bound, has none,
+# so a simulation cannot clock
+UNPINNED_25_SPEC = {
+    "registers": [{"name": "a", "length": 3}, {"name": "b", "length": 25}],
     "function": "a0*b0 ^ b1",
 }
 
@@ -294,7 +294,10 @@ class TestSimulateCommand:
     def test_negative_steps(self, spec_file, capsys):
         assert main(["simulate", spec_file(GEFFE_SPEC), "--steps", "-1"]) == 2
 
-    def test_long_run_uses_chunks_and_wraps_dump(self, spec_file, capsys):
+    def test_long_run_uses_chunks_and_wraps_dump(self, spec_file, capsys, monkeypatch):
+        # 50 chunks of 100 bits, not a multiple of a 64-bit dump line, so the
+        # dump crosses 49 chunk boundaries
+        monkeypatch.setattr(lfsr, "_CHUNK", 100)
         code = main(["simulate", spec_file(ONE_MINTERM_SPEC), "--steps", "5000", "--dump"])
         out = capsys.readouterr().out
         assert code == 0
@@ -478,44 +481,48 @@ class TestVerifyCommand:
         )
 
     @pytest.mark.parametrize("length", [17, 20])
-    def test_register_without_a_polynomial_skips_simulation(
+    def test_unpinned_register_is_simulated_up_to_the_bound(
         self, spec_file, capsys, length
     ):
         data = {"registers": [{"name": "m", "length": length}], "function": "m0"}
         assert main(["verify", spec_file(data)]) == 0
         half = 1 << (length - 1)
-        assert capsys.readouterr().out.splitlines() == [
-            f"symbolic:    {half}",
-            f"truth-table: {half}",
-            "simulated:   skipped (register m: no built-in maximum-length"
-            f" polynomial for length {length})",
-            "agreement:   PASS",
-        ]
+        assert capsys.readouterr() == (
+            f"symbolic:    {half}\n"
+            f"truth-table: {half}\n"
+            f"simulated:   {half}\n"
+            "agreement:   PASS\n",
+            # x^17 + x^3 + 1 and x^20 + x^3 + 1 are the smallest masks
+            f"notice: register m: using built-in polynomial x^{length}+x^3+1\n"
+            "notice: register m: using all-ones initial state\n",
+        )
         # a pinned polynomial is still checked, and x^L + 1 is not maximum-length
         data["registers"][0]["polynomial"] = [length, 0]
         assert main(["verify", spec_file(data)]) == 2
         assert "not maximum-length" in capsys.readouterr().err
 
     def test_skipped_simulation_prints_no_notice(self, spec_file, capsys):
-        assert main(["verify", spec_file(UNPINNED_17_SPEC)]) == 0
+        # past 20 stages no truth table runs either, so nothing is left to agree
+        assert main(["verify", spec_file(UNPINNED_25_SPEC)]) == 2
         assert capsys.readouterr() == (
-            "symbolic:    458752\n"
-            "truth-table: 458752\n"
+            "symbolic:    117440512\n"
+            "truth-table: skipped (28-bit layout above the 20-bit truth-table"
+            " guard)\n"
             "simulated:   skipped (register b: no built-in maximum-length"
-            " polynomial for length 17)\n"
-            "agreement:   PASS\n",
-            "",
+            " polynomial for length 25)\n",
+            "error: instance too large for any brute-force oracle; nothing to"
+            " verify against\n",
         )
 
     def test_missing_polynomial_is_named_over_the_budget(
         self, spec_file, capsys, monkeypatch
     ):
         monkeypatch.setenv("BALANCEGATE_MAX_PERIOD", "100")
-        data = {"registers": [{"name": "m", "length": 17}], "function": "m0"}
-        assert main(["verify", spec_file(data)]) == 0
+        data = {"registers": [{"name": "m", "length": 25}], "function": "m0"}
+        assert main(["verify", spec_file(data)]) == 2
         assert capsys.readouterr().out.splitlines()[2] == (
             "simulated:   skipped (register m: no built-in maximum-length"
-            " polynomial for length 17)"
+            " polynomial for length 25)"
         )
 
     @pytest.mark.parametrize("trust", [[], ["--trust-poly"]])
@@ -648,50 +655,128 @@ class TestCheckRulesCommand:
         )
 
 
+# descriptions the loader refuses, each with its one error line
+_REJECTED_DESCRIPTIONS = [
+    ({"function": "m0"}, 'description needs "registers" and "function"'),
+    ({"registers": [], "function": "m0"}, '"registers" must be a non-empty list'),
+    (
+        {"registers": [{"name": "m", "length": 3}]},
+        'description needs "registers" and "function"',
+    ),
+    (
+        {"registers": [{"name": "m", "length": 3}], "function": ""},
+        '"function" must be a non-empty string',
+    ),
+    (
+        {"registers": [{"name": "m", "length": 3}], "function": "m0", "extra": 1},
+        "unknown keys: extra",
+    ),
+    (
+        {"registers": [{"name": "m", "length": 3, "taps": [1]}], "function": "m0"},
+        "registers[0]: unknown keys: taps",
+    ),
+    (
+        {"registers": [{"name": "mm", "length": 3}], "function": "m0"},
+        "register name must be a single letter, got 'mm'",
+    ),
+    (
+        {"registers": [{"name": "m", "length": 0}], "function": "m0"},
+        'registers[0]: "length" must be a positive integer',
+    ),
+    (
+        {"registers": [{"name": "m", "length": True}], "function": "m0"},
+        'registers[0]: "length" must be a positive integer',
+    ),
+    (
+        {
+            "registers": [{"name": "m", "length": 3, "polynomial": [3, 1]}],
+            "function": "m0",
+        },
+        "registers[0]: connection polynomial needs both the x^3 term and a"
+        " constant term",
+    ),
+    (
+        {
+            "registers": [{"name": "m", "length": 3, "polynomial": [3, 1, 1, 0]}],
+            "function": "m0",
+        },
+        'registers[0]: "polynomial" has repeated exponents',
+    ),
+    (
+        {
+            "registers": [{"name": "m", "length": 3, "initial_state": "000"}],
+            "function": "m0",
+        },
+        "registers[0]: initial state must be nonzero and fit the register",
+    ),
+    (
+        {
+            "registers": [{"name": "m", "length": 3, "initial_state": "11"}],
+            "function": "m0",
+        },
+        'registers[0]: "initial_state" must be a 3-character string of 0s and'
+        " 1s (stage 0 first)",
+    ),
+    (
+        {"registers": [{"name": "m", "length": 3}], "function": "m0", "tolerance": 0.01},
+        'tolerance must be a fraction like "1/100", got 0.01',
+    ),
+    (
+        {"registers": [{"name": "m", "length": 3}], "function": "m0", "tolerance": "2/3"},
+        "tolerance must lie in [0, 1/2]",
+    ),
+    (
+        {
+            "registers": [{"name": "a", "length": 2}, {"name": "a", "length": 3}],
+            "function": "a0",
+        },
+        "duplicate register name 'a'",
+    ),
+    (
+        {
+            "registers": [{"name": "a", "length": 2}, {"name": "b", "length": 4}],
+            "function": "a0 ^ b0",
+        },
+        "register lengths must be pairwise coprime for period computation",
+    ),
+    ({"registers": [5], "function": "a0"}, "registers[0]: must be an object"),
+    (
+        {"registers": [{"name": 7, "length": 3}], "function": "m0"},
+        'registers[0]: "name" must be a string',
+    ),
+    (
+        {
+            "registers": [{"name": "m", "length": 3, "polynomial": "x^3 + 1"}],
+            "function": "m0",
+        },
+        'registers[0]: "polynomial" must be a list of integers',
+    ),
+    (
+        {
+            "registers": [{"name": "m", "length": 3, "polynomial": [3, True, 0]}],
+            "function": "m0",
+        },
+        'registers[0]: "polynomial" must be a list of integers',
+    ),
+    # a letter outside the function grammar's [A-Za-z] could never be read
+    (
+        {"registers": [{"name": "é", "length": 3}], "function": "é0"},
+        "register name must be a single letter, got 'é'",
+    ),
+]
+
+
 class TestSpecFileValidation:
+    # ids by position (data0, data1, ...), so a case keeps its id when its
+    # message changes
     @pytest.mark.parametrize(
-        "data",
-        [
-            {"function": "m0"},
-            {"registers": [], "function": "m0"},
-            {"registers": [{"name": "m", "length": 3}]},
-            {"registers": [{"name": "m", "length": 3}], "function": ""},
-            {"registers": [{"name": "m", "length": 3}], "function": "m0", "extra": 1},
-            {"registers": [{"name": "m", "length": 3, "taps": [1]}], "function": "m0"},
-            {"registers": [{"name": "mm", "length": 3}], "function": "m0"},
-            {"registers": [{"name": "m", "length": 0}], "function": "m0"},
-            {"registers": [{"name": "m", "length": True}], "function": "m0"},
-            {
-                "registers": [{"name": "m", "length": 3, "polynomial": [3, 1]}],
-                "function": "m0",
-            },
-            {
-                "registers": [{"name": "m", "length": 3, "polynomial": [3, 1, 1, 0]}],
-                "function": "m0",
-            },
-            {
-                "registers": [{"name": "m", "length": 3, "initial_state": "000"}],
-                "function": "m0",
-            },
-            {
-                "registers": [{"name": "m", "length": 3, "initial_state": "11"}],
-                "function": "m0",
-            },
-            {"registers": [{"name": "m", "length": 3}], "function": "m0", "tolerance": 0.01},
-            {"registers": [{"name": "m", "length": 3}], "function": "m0", "tolerance": "2/3"},
-            {
-                "registers": [{"name": "a", "length": 2}, {"name": "a", "length": 3}],
-                "function": "a0",
-            },
-            {
-                "registers": [{"name": "a", "length": 2}, {"name": "b", "length": 4}],
-                "function": "a0 ^ b0",
-            },
-            {"registers": [5], "function": "a0"},
-        ],
+        "data, error",
+        _REJECTED_DESCRIPTIONS,
+        ids=[f"data{i}" for i in range(len(_REJECTED_DESCRIPTIONS))],
     )
-    def test_rejected_descriptions(self, spec_file, capsys, data):
+    def test_rejected_descriptions(self, spec_file, capsys, data, error):
         assert main(["analyze", spec_file(data)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_register_entry_must_be_an_object(self, spec_file, capsys):
         data = {"registers": [5], "function": "a0"}
@@ -699,7 +784,7 @@ class TestSpecFileValidation:
         assert capsys.readouterr().err == "error: registers[0]: must be an object\n"
 
     def test_instance_resolves_every_register_before_any_notice(self):
-        spec = parse_spec(UNPINNED_17_SPEC)
+        spec = parse_spec(UNPINNED_25_SPEC)
         notices = []
         with pytest.raises(MissingPolynomialError, match="^register b: no built-in"):
             spec.instance(notice=notices.append)
@@ -712,12 +797,12 @@ class TestSpecFileValidation:
 
     def test_length_without_builtin_polynomial(self, spec_file, capsys):
         # b is named before a's defaults would be
-        code = main(["simulate", spec_file(UNPINNED_17_SPEC), "--steps", "5"])
+        code = main(["simulate", spec_file(UNPINNED_25_SPEC), "--steps", "5"])
         assert code == 2
         assert capsys.readouterr() == (
             "",
             "error: register b: no built-in maximum-length polynomial for length"
-            " 17; supply one explicitly\n",
+            " 25; supply one explicitly\n",
         )
 
 
@@ -844,9 +929,9 @@ def _specs(draw):
     registers = []
     for name, length in shape:
         reg = {"name": name, "length": length}
-        builtin = PRIMITIVE_POLYNOMIALS.get(length)
-        if builtin and draw(st.booleans()):
-            reg["polynomial"] = list(draw(st.sampled_from(builtin)))
+        table = maximum_length_polynomials(length)
+        if table and draw(st.booleans()):
+            reg["polynomial"] = list(draw(st.sampled_from(table)))
         if draw(st.booleans()):
             seed = draw(st.integers(1, (1 << length) - 1))
             reg["initial_state"] = format(seed, f"0{length}b")[::-1]

@@ -17,7 +17,6 @@ from balancegate.errors import (
 from balancegate.lfsr import (
     GeneratorInstance,
     LfsrConfig,
-    PRIMITIVE_POLYNOMIALS,
     count_ones_simulated,
     count_ones_truthtable,
     iter_output_chunks,
@@ -28,9 +27,11 @@ from conftest import (
     COPRIME_SHAPES,
     generate_output,
     geffe_layout,
+    maximum_length_polynomials,
     minterm_function,
     naive_ones_count,
     random_function,
+    returns_after_period,
     step,
 )
 
@@ -54,13 +55,22 @@ class TestLfsrConfig:
         cfg = LfsrConfig(4, frozenset({4, 1, 0}))
         assert cfg.initial_state == 0b1111
 
-    def test_standard_uses_table(self):
-        cfg = LfsrConfig.standard(5)
-        assert cfg.polynomial == frozenset({5, 2, 0})
-        with pytest.raises(MissingPolynomialError) as info:
-            LfsrConfig.standard(17)
-        assert isinstance(info.value, ValidationError)
-        assert str(info.value) == "no built-in maximum-length polynomial for length 17"
+    def test_standard_is_the_smallest_maximum_length_mask(self):
+        # found by walking each candidate, without the library's order test
+        for length in range(2, 17):
+            first = maximum_length_polynomials(length)[0]
+            assert LfsrConfig.standard(length).polynomial == frozenset(first)
+        assert LfsrConfig.standard(5).polynomial == frozenset({5, 2, 0})
+        # past the walks' reach, up to the bound the order test vouches for
+        for length in range(17, lfsr.DEFAULT_VERIFICATION_BOUND + 1):
+            assert verify_maximum_length(LfsrConfig.standard(length)) is True
+        for length in (0, 1, lfsr.DEFAULT_VERIFICATION_BOUND + 1):
+            with pytest.raises(MissingPolynomialError) as info:
+                LfsrConfig.standard(length)
+            assert isinstance(info.value, ValidationError)
+            assert str(info.value) == (
+                f"no built-in maximum-length polynomial for length {length}"
+            )
 
     def test_tap_mask_is_reciprocal(self):
         # x^3 taps stage 0, x^2 taps stage 1, constant term is no tap
@@ -110,8 +120,8 @@ class TestStepAndCycle:
 
     def test_cycle_visits_every_nonzero_state(self):
         rng = random.Random(3000)
-        for length, entries in PRIMITIVE_POLYNOMIALS.items():
-            for exponents in entries:
+        for length in range(2, 17):
+            for exponents in maximum_length_polynomials(length):
                 seed = rng.randrange(1, 1 << length)
                 cfg = LfsrConfig(length, frozenset(exponents), seed)
                 states = state_cycle(cfg)
@@ -248,7 +258,8 @@ class TestVerifyMaximumLength:
         assert lfsr._is_primitive(cfg.polynomial_as_int, 25) is True
 
     def test_table_entries_are_maximum_length(self):
-        for length, entries in PRIMITIVE_POLYNOMIALS.items():
+        for length in range(2, 17):
+            entries = maximum_length_polynomials(length)
             assert len(entries) == (1 if length == 2 else 2)
             for exponents in entries:
                 cfg = LfsrConfig(length, frozenset(exponents))
@@ -257,21 +268,13 @@ class TestVerifyMaximumLength:
     @pytest.mark.parametrize("degree", range(2, 10))
     def test_agrees_with_cycle_enumeration(self, degree):
         # every polynomial of this degree with a constant term
-        period = (1 << degree) - 1
         for middle in range(1 << (degree - 1)):
             poly = (1 << degree) | (middle << 1) | 1
             exponents = frozenset(
                 e for e in range(degree + 1) if (poly >> e) & 1
             )
             cfg = LfsrConfig(degree, frozenset(exponents), 1)
-            s = 1
-            steps = 0
-            while True:
-                s = step(s, cfg)
-                steps += 1
-                if s == 1 or steps > period:
-                    break
-            assert verify_maximum_length(cfg) is (steps == period)
+            assert verify_maximum_length(cfg) is returns_after_period(cfg)
 
 
 class TestCountingOracles:
@@ -305,9 +308,8 @@ class TestCountingOracles:
         for _ in range(4):
             configs = []
             for reg in layout.registers:
-                exponents = PRIMITIVE_POLYNOMIALS[reg.length][
-                    rng.randrange(len(PRIMITIVE_POLYNOMIALS[reg.length]))
-                ]
+                table = maximum_length_polynomials(reg.length)
+                exponents = table[rng.randrange(len(table))]
                 seed = rng.randrange(1, 1 << reg.length)
                 configs.append(LfsrConfig(reg.length, frozenset(exponents), seed))
             g = GeneratorInstance(layout, tuple(configs), f)
