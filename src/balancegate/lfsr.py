@@ -7,16 +7,21 @@ tapped stages into stage L-1.  The taps come from the reciprocal of the
 connection polynomial: term x**e of P(x) taps stage L-e (the constant term is
 the shift itself, not a tap).
 
-The registers themselves are plain ints.  numpy is imported only inside the
-functions that build arrays, so importing this module, as every command does,
-does not load it.
+Since every stage moves down one per clock, stage i at clock t is stage 0 at
+clock t + i.  A walk therefore keeps only stage 0, one byte per clock, and
+each stage a function reads is that stream from clock i on.
+
+The register states themselves are plain ints.  numpy is imported only inside
+the functions that build arrays, so importing this module, as every command
+does, does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import TYPE_CHECKING, Iterator
+from functools import cache, cached_property, reduce
+from operator import and_
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .anf import MAX_STAGES, AnfFunction, RegisterLayout
 from .errors import (
@@ -47,8 +52,8 @@ DEFAULT_SIMULATION_BUDGET = 1 << 31
 DEFAULT_VERIFICATION_BOUND = 24
 DEFAULT_TRUTHTABLE_BITS = 20
 
-# Vectorized output materializes the walked states of each register, each
-# followed by one chunk of its own start, so chunks stay small.
+# Vectorized output materializes one byte per clock of each read register's
+# walk, and yields it in chunks so the arrays per chunk stay small.
 _VECTOR_CYCLE_CAP = 1 << 24
 _CHUNK = 1 << 16
 
@@ -141,67 +146,59 @@ class GeneratorInstance:
             raise ValidationError("function layout does not match generator layout")
 
 
-def _walk(config: LfsrConfig, steps: int) -> tuple[list[int], int]:
-    """The first `steps` states from the seed, and the state after them."""
+def _walk(config: LfsrConfig, steps: int) -> tuple[bytearray, int]:
+    """Stage 0 over the first `steps` clocks from the seed, one byte per
+    clock, and the state after them."""
     taps, top = config.tap_mask, config.length - 1
-    states = []
+    stream = bytearray(steps)
     s = config.initial_state
-    for _ in range(steps):
-        states.append(s)
+    for t in range(steps):
+        stream[t] = s & 1
         s = (s >> 1) | (((s & taps).bit_count() & 1) << top)
-    return states, s
+    return stream, s
 
 
-def state_cycle(config: LfsrConfig) -> list[int]:
-    """States visited over one nominal period, starting at the seed.
+def state_cycle(config: LfsrConfig) -> bytearray:
+    """Stage 0 over one nominal period from the seed, one byte per clock; the
+    state at clock t is the `length`-byte window from t, read round the cycle.
 
     The walk takes exactly 2**length - 1 steps and checks that it lands back
     on the seed, so a polynomial whose cycle length does not divide the
     nominal period is rejected here.
     """
     period = (1 << config.length) - 1
-    states, s = _walk(config, period)
+    stream, s = _walk(config, period)
     if s != config.initial_state:
         raise ValidationError(
             "state walk does not return to the seed after"
             f" {period} steps; the connection polynomial does not sustain the"
             " nominal period"
         )
-    return states
+    return stream
 
 
 def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]:
-    """Output bits as uint8 arrays, built from the per-register walks.
+    """Output bits as uint8 arrays, built from each read register's stream.
 
-    Each register the function reads walks min(steps, 2**L - 1) states; a run
-    longer than its period repeats its state_cycle, whose seed-return check
-    rejects a polynomial that does not sustain the period.  Each walk is packed
-    from only the stages the function reads, so the function may read at most
-    62 of them, and followed by its own start, so every chunk's joint states
-    are ORed from one slice of each walk; the combination is vectorized.
+    Each register the function reads is walked once as its stage-0 output,
+    one byte per clock, and a stage it reads is a slice of that stream.  A
+    run of at most one period walks steps clocks plus one per stage up to the
+    highest read; a longer run repeats the register's state_cycle, whose
+    seed-return check rejects a polynomial that does not sustain the period.
+    Each chunk is the XOR over the terms of the AND of their stages' slices,
+    so the function may read any number of stages.
 
     Raises, at the call and before any register is walked:
         ValidationError: steps is negative.
-        ResourceLimitError: the function reads more than 62 stages, or a
-            register it reads would walk more than 2**24 states.
+        ResourceLimitError: a register the function reads would walk more
+            than 2**24 states.
     """
     if steps < 0:
         raise ValidationError("steps must be non-negative")
-    # packed bit k of a joint state holds global stage read[k]
-    read = [b for b in range(g.layout.total_length) if g.function.support >> b & 1]
-    if len(read) > 62:
-        raise ResourceLimitError(
-            f"function reads {len(read)} stages, too many to pack joint states"
-            " for vectorized output"
-        )
     walked = []
     for cfg, reg in zip(g.lfsrs, g.layout.registers):
-        stages = [
-            (k, b - reg.offset)
-            for k, b in enumerate(read)
-            if reg.offset <= b < reg.offset + reg.length
-        ]
-        if not stages:
+        read = g.function.support >> reg.offset & ((1 << reg.length) - 1)
+        if not read:
             continue
         count = min(steps, (1 << cfg.length) - 1)
         if count > _VECTOR_CYCLE_CAP:
@@ -209,49 +206,44 @@ def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]
                 f"register {reg.name}: {count} states too many to materialize"
                 " for vectorized output"
             )
-        walked.append((cfg, stages))
-    terms = [
-        sum(1 << i for i, b in enumerate(read) if t >> b & 1)
-        for t in sorted(g.function.terms)
-    ]
-    return _output_chunks(walked, terms, steps)
+        walked.append((cfg, reg.offset, read))
+    return _output_chunks(walked, sorted(g.function.terms), steps)
 
 
 def _output_chunks(walked: list, terms: list[int], steps: int) -> Iterator[np.ndarray]:
     """iter_output_chunks' walk and yield, once its limits have been checked."""
     import numpy as np
 
-    if not steps:  # nothing to yield, and an empty walk has no start to append
-        return
     head = min(_CHUNK, steps)
-    walks = []
-    for cfg, stages in walked:
-        period = (1 << cfg.length) - 1
-        states = state_cycle(cfg) if steps > period else _walk(cfg, steps)[0]
-        # a state of more than 62 stages does not fit int64: project it first
-        raw = np.array(states, dtype=np.int64 if cfg.length <= 62 else object)
-        walk = np.zeros(len(states), dtype=np.int64)
-        for k, i in stages:
-            walk |= ((raw >> i) & 1).astype(np.int64) << k
-        # followed by its own first `head` entries, so no chunk wraps round
-        tail = np.tile(walk, -(-head // len(walk)))[:head]
-        walks.append((np.concatenate((walk, tail)), len(walk)))
+    # global stage -> its stream from clock 0 on, and its register's period
+    stages = {}
+    for cfg, offset, read in walked:
+        period, top = (1 << cfg.length) - 1, read.bit_length() - 1
+        if steps > period:
+            # one period, repeated so no chunk's slice runs off the end
+            cycle = np.frombuffer(state_cycle(cfg), dtype=bool)
+            stream = np.tile(cycle, 1 + -(-(head + top) // period))
+        else:
+            stream = np.frombuffer(_walk(cfg, steps + top)[0], dtype=bool)
+        for i in range(top + 1):
+            if read >> i & 1:
+                stages[offset + i] = (stream[i:], period)
+    factors = [[b for b in stages if t >> b & 1] for t in terms]
     for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
-        joint = np.zeros(n, dtype=np.int64)
-        for walk, length in walks:
-            s = start % length
-            joint |= walk[s : s + n]
-        yield _values(terms, joint).astype(np.uint8)
+        cols = {b: col[start % p : start % p + n] for b, (col, p) in stages.items()}
+        product = lambda factor: reduce(and_, map(cols.__getitem__, factor))
+        yield _values(factors, product, n).view(np.uint8)
 
 
-def _values(terms: list[int], x: np.ndarray) -> np.ndarray:
-    """f at each assignment in x, as bools: the XOR of its terms' products."""
+def _values(terms: list, product: Callable, n: int) -> np.ndarray:
+    """f at n points, as bools: the XOR over its terms of product(term), that
+    term's value at each point."""
     import numpy as np
 
-    out = np.zeros(len(x), dtype=bool)
+    out = np.zeros(n, dtype=bool)
     for t in terms:
-        out ^= (x & t) == t
+        out ^= product(t)
     return out
 
 
@@ -269,8 +261,8 @@ def count_ones_simulated(
 
     Raises:
         ResourceLimitError: before any register is walked, when the full
-            period exceeds the step budget, or the function reads more than
-            62 stages or a register of more than 24 stages.
+            period exceeds the step budget, or the function reads a register
+            of more than 24 stages.
         UnverifiedPolynomialError: a polynomial cannot be verified and
             verify_polynomials was left on; checked after the limits above.
         ValidationError: a polynomial fails maximum-length verification, or,
@@ -305,7 +297,7 @@ def count_ones_truthtable(f: AnfFunction) -> int:
     import numpy as np
 
     x = np.arange(1 << length, dtype=np.int64)
-    on = _values(sorted(f.terms), x)
+    on = _values(sorted(f.terms), lambda t: (x & t) == t, len(x))
     valid = np.ones(1 << length, dtype=bool)
     for reg in layout.registers:
         valid &= ((x >> reg.offset) & ((1 << reg.length) - 1)) != 0

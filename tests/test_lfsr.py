@@ -37,6 +37,19 @@ from conftest import (
 
 # the worked three-stage register: P = x^3 + x^2 + 1, seed 110 (stage 0 first)
 WORKED = LfsrConfig(3, frozenset({3, 2, 0}), 0b011)
+# 70 stages, more than a 64-bit word holds
+WIDE = LfsrConfig(70, frozenset({70, 69, 55, 54, 0}))
+
+
+def cycle_states(config):
+    """The states of state_cycle's stream: state t is the `length`-bit window
+    from t, stage i at clock t being stage 0 at clock t + i, read round the
+    cycle."""
+    stream = state_cycle(config)
+    n = len(stream)
+    return [
+        sum(stream[(t + i) % n] << i for i in range(config.length)) for t in range(n)
+    ]
 
 
 def single_register_generator(text, config):
@@ -116,7 +129,7 @@ class TestLfsrConfig:
 
 class TestStepAndCycle:
     def test_worked_example_cycle(self):
-        assert state_cycle(WORKED) == [3, 1, 4, 2, 5, 6, 7]
+        assert cycle_states(WORKED) == [3, 1, 4, 2, 5, 6, 7]
 
     def test_cycle_visits_every_nonzero_state(self):
         rng = random.Random(3000)
@@ -124,7 +137,7 @@ class TestStepAndCycle:
             for exponents in maximum_length_polynomials(length):
                 seed = rng.randrange(1, 1 << length)
                 cfg = LfsrConfig(length, frozenset(exponents), seed)
-                states = state_cycle(cfg)
+                states = cycle_states(cfg)
                 assert len(states) == (1 << length) - 1
                 assert set(states) == set(range(1, 1 << length))
                 # each state, the last included, clocks into the next
@@ -133,7 +146,7 @@ class TestStepAndCycle:
 
     def test_degenerate_single_stage(self):
         cfg = LfsrConfig(1, frozenset({1, 0}))
-        assert state_cycle(cfg) == [1]
+        assert cycle_states(cfg) == [1]
 
     def test_short_cycle_polynomial_rejected(self):
         # x^3 + x^2 + x + 1 = (x + 1)^3 never sustains the 7-step period
@@ -142,9 +155,9 @@ class TestStepAndCycle:
             state_cycle(cfg)
 
     def test_seed_only_rotates_the_cycle(self):
-        reference = state_cycle(WORKED)
+        reference = cycle_states(WORKED)
         for seed in range(1, 8):
-            cycle = state_cycle(LfsrConfig(3, frozenset({3, 2, 0}), seed))
+            cycle = cycle_states(LfsrConfig(3, frozenset({3, 2, 0}), seed))
             k = reference.index(seed)
             assert cycle == reference[k:] + reference[:k]
 
@@ -152,7 +165,7 @@ class TestStepAndCycle:
 class TestGeneratorOutput:
     def test_minterm_functions_emit_one_hot_sequences(self):
         # each minterm fires exactly at its own state visit
-        cycle = state_cycle(WORKED)
+        cycle = cycle_states(WORKED)
         for mask in range(1, 8):
             g = minterm_generator(mask, WORKED)
             expected = [1 if s == mask else 0 for s in cycle]
@@ -168,7 +181,7 @@ class TestGeneratorOutput:
 
     def test_stage_output_function(self):
         g = single_register_generator("m0", WORKED)
-        assert generate_output(g, 7) == [s & 1 for s in state_cycle(WORKED)]
+        assert generate_output(g, 7) == list(state_cycle(WORKED))
 
     def test_output_repeats_with_the_period(self):
         g = single_register_generator("m1*m0 ^ m2", WORKED)
@@ -182,16 +195,26 @@ class TestGeneratorOutput:
 
     def test_chunked_path_matches_stepwise(self, monkeypatch):
         rng = random.Random(3001)
+        cases = []
         for lengths in [(("m", 5),), (("a", 3), ("b", 4)), (("a", 2), ("b", 3), ("c", 5))]:
             layout = RegisterLayout.from_lengths(list(lengths))
             f = random_function(rng, layout, max_terms=5)
             if not f.terms:
                 continue
             configs = tuple(LfsrConfig.standard(r.length) for r in layout.registers)
-            g = GeneratorInstance(layout, configs, f)
             period = layout.period()
-            # none, part of one period, a few past it, and three laps and a bit
-            for steps in (0, period // 2, period + 3, 3 * period + 1):
+            # none, part of one period, exactly one (whose walk runs past the
+            # period by the stages read), a few past it, three laps and a bit
+            steps = (0, period // 2, period, period + 3, 3 * period + 1)
+            cases.append((GeneratorInstance(layout, configs, f), steps))
+        # a register past 64 stages, read up to its top stage, beside one that
+        # wraps round its period several times
+        layout = RegisterLayout.from_lengths([("a", 3), ("b", 70)])
+        f = parse_function("a0*b69 ^ b66*b0 ^ a2 ^ b61*a1*b7", layout)
+        configs = (LfsrConfig.standard(3), WIDE)
+        cases.append((GeneratorInstance(layout, configs, f), (0, 7, 30)))
+        for g, step_counts in cases:
+            for steps in step_counts:
                 expected = generate_output(g, steps)
                 for chunk in (1, 7, 64, 10**6):
                     monkeypatch.setattr(lfsr, "_CHUNK", chunk)
@@ -205,15 +228,8 @@ class TestGeneratorOutput:
             (WORKED, "m0", -1, ValidationError),
             # 2**25 - 1 states of the register the function reads
             (LfsrConfig(25, frozenset({25, 3, 0})), "m0", 1 << 25, ResourceLimitError),
-            # 63 stages read, one past what packs into an int64 joint state
-            (
-                LfsrConfig(70, frozenset({70, 69, 55, 54, 0})),
-                "*".join(f"m{i}" for i in range(63)),
-                1,
-                ResourceLimitError,
-            ),
         ],
-        ids=["negative-steps", "state-cap", "pack-limit"],
+        ids=["negative-steps", "state-cap"],
     )
     def test_limits_raise_when_called(self, monkeypatch, config, text, steps, error):
         def walked(*args):
@@ -225,6 +241,18 @@ class TestGeneratorOutput:
         # the call alone raises; no item is ever requested
         with pytest.raises(error):
             iter_output_chunks(g, steps)
+
+    def test_sixty_three_read_stages_match_stepwise(self):
+        # the all-ones seed keeps the 63-stage product at 1 for the first 8
+        # clocks, until the first zero fed in at stage 69 reaches stage 62
+        product = "*".join(f"m{i}" for i in range(63))
+        g = single_register_generator(product, WIDE)
+        assert generate_output(g, 9) == [1] * 8 + [0]
+        for text in (product, product + " ^ m62*m1 ^ m40"):
+            g = single_register_generator(text, WIDE)
+            chunks = list(iter_output_chunks(g, 100))
+            flat = [int(b) for arr in chunks for b in arr]
+            assert flat == generate_output(g, 100)
 
     def test_instance_validation(self):
         layout = geffe_layout()
@@ -329,6 +357,24 @@ class TestCountingOracles:
         # order-5 cycle and simply reports what the sequence does
         trusted = count_ones_simulated(g, verify_polynomials=False)
         assert trusted == sum(generate_output(g, 15))
+
+    def test_simulated_walk_holds_a_byte_per_clock(self):
+        import numpy  # noqa: F401  (loaded first, so its import is not counted)
+
+        layout = RegisterLayout.from_lengths([("a", 3), ("b", 16)])
+        f = parse_function("a0*b15 ^ a2*b0 ^ b7", layout)
+        configs = (LfsrConfig.standard(3), LfsrConfig.standard(16))
+        g = GeneratorInstance(layout, configs, f)
+        tracemalloc.start()
+        try:
+            ones = count_ones_simulated(g, verify_polynomials=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ones == count_ones_truthtable(f)
+        # b's stream of one byte per clock takes 64 KiB; a Python int per
+        # state of its 65,535 would take several MiB
+        assert peak < 2 << 20
 
     def test_simulated_agrees_with_truthtable(self):
         rng = random.Random(3004)
