@@ -8,9 +8,11 @@ decision boundary.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
+from . import minterms
 from .anf import AnfFunction, RegisterLayout, _shown
 from .errors import ValidationError
 from .minterms import DEFAULT_MAX_SUM_ENTRIES, accumulate, exact_ones_multi
@@ -96,7 +98,12 @@ class RuleFinding:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the exact analysis produced, as plain data."""
+    """Everything the exact analysis produced, as plain data.
+
+    The count comes from the weight histogram alone; `final_sum` is
+    multiplied out from the parts `accumulate` left unbuilt, once, on first
+    read, and within the entry cap `analyze` was given.
+    """
 
     layout: RegisterLayout
     function_text: str
@@ -109,7 +116,12 @@ class AnalysisReport:
     verdict: str
     magnitude_label: str
     findings: tuple[RuleFinding, ...]
-    final_sum: dict[int, int]  # minterm mask -> signed coefficient, nonzero
+    _parts: list = field(compare=False, repr=False)
+
+    @cached_property
+    def final_sum(self) -> dict[int, int]:
+        """Minterm mask -> signed coefficient, nonzero."""
+        return minterms._multiply_out(self._parts)
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict; counts as decimal strings, rationals as p/q."""
@@ -283,7 +295,7 @@ def analyze(
     policy = policy or VerdictPolicy()
     layout = f.layout
     period = layout.period()
-    final_sum, weights = accumulate(f, max_entries=max_sum_entries)
+    weights, parts = accumulate(f, max_entries=max_sum_entries)
     ones = exact_ones_multi(weights, layout)
     return AnalysisReport(
         layout=layout,
@@ -297,5 +309,5 @@ def analyze(
         verdict=verdict(ones, period, policy),
         magnitude_label=magnitude_label(ones, period),
         findings=tuple(findings(f)),
-        final_sum=final_sum,
+        _parts=parts,
     )

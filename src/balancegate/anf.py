@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import ExpressionError, ValidationError
 
@@ -171,7 +171,10 @@ class AnfFunction:
 
     Canonical means: no duplicate monomials, no constant term, every mask
     nonzero and inside the layout.  The empty term set is legal and denotes
-    the all-zero function.
+    the all-zero function.  Any iterable of integer masks is taken: each
+    becomes an int, duplicates cancel in pairs as in `parse_function`, and
+    the result is stored as a frozenset; a bool, float or other non-integer
+    term is refused.
     """
 
     layout: RegisterLayout
@@ -179,11 +182,20 @@ class AnfFunction:
 
     def __post_init__(self) -> None:
         limit = 1 << self.layout.total_length
+        terms: set[int] = set()
         for t in self.terms:
-            if not 0 < t < limit:
+            try:
+                if isinstance(t, bool):
+                    raise TypeError
+                mask = index(t)
+            except TypeError:
+                raise ValidationError(f"term mask {t!r} is not an integer") from None
+            if not 0 < mask < limit:
                 raise ValidationError(
                     f"term mask {t!r} outside layout of {self.layout.total_length} bits"
                 )
+            terms ^= {mask}
+        object.__setattr__(self, "terms", frozenset(terms))
 
     @cached_property
     def support(self) -> int:

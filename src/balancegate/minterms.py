@@ -13,8 +13,10 @@ A minterm's share of the ones count depends only on how many stages its
 mask holds in each register, the weight tuple `RegisterLayout.weights`
 gives, so the count reads the combination's weight histogram, keyed by
 those tuples, not its entries (see `exact_ones_multi`).  The engine builds
-that histogram part by part while it builds the combination: from the
-transform's nonzero cells, or from the entries of a folded part.
+that histogram part by part, from the transform's nonzero cells or from the
+entries of a folded part, and combines the histograms, not the parts: the
+combination itself is multiplied out only for a caller that shows it (see
+`_multiply_out`).
 """
 
 from __future__ import annotations
@@ -52,29 +54,32 @@ _BUTTERFLY_ACROSS_BYTES = 32
 
 def accumulate(
     f: AnfFunction, *, max_entries: int = DEFAULT_MAX_SUM_ENTRIES
-) -> tuple[dict[int, int], dict[tuple[int, ...], int]]:
-    """The signed sum describing f's monomials, folded in sorted mask order,
-    and its weight histogram.
-
-    The sum is a dict from minterm mask to its nonzero coefficient: the XOR
-    combination's integer normal form, which is unique, so the result is
-    independent of the fold order and of the engine that builds it.  The
-    masks are f's terms, so none is 0 and each fits the layout.
+) -> tuple[dict[tuple[int, ...], int], list]:
+    """The weight histogram of the signed sum describing f's monomials, and
+    the parts that sum is multiplied out from.
 
     The histogram maps each tuple of per-register weights (d_1 .. d_R), the
     number of stages a mask holds in each register, to the sum of the
     coefficients of the masks with those weights; tuples whose sum is 0 are
     left out.  It is all `exact_ones_multi` needs.
 
-    The masks split into variable-disjoint components, and each component's
-    sum is built on its own, together with its histogram.  Unions of masks
-    from disjoint components never collide, so the XOR g + h - 2*g*h of
-    component sums of e_1 .. e_c entries multiplies out to prod(1 + e_i) - 1
-    entries.  That count is checked against max_entries before each
-    component is built, so building stops once it passes the cap, and again
-    before anything is multiplied out.  The histograms combine by the same
-    XOR step, with weights added where masks are joined, since disjoint
-    components' weights add.
+    The sum itself is a dict from minterm mask to its nonzero coefficient:
+    the XOR combination's integer normal form, which is unique, so it is
+    independent of the fold order and of the engine that builds it.  Its
+    masks are f's terms, so none is 0 and each fits the layout.  It is left
+    unbuilt: the masks split into variable-disjoint components, and each
+    component's part is returned as its engine left it, a folded component's
+    dict or a transformed one's (bits, indices, values) arrays, for
+    `_multiply_out` to build the sum from on demand.
+
+    Unions of masks from disjoint components never collide, so the XOR
+    g + h - 2*g*h of component sums of e_1 .. e_c entries multiplies out to
+    prod(1 + e_i) - 1 entries.  That count is checked against max_entries
+    before each component is built, so building stops once it passes the
+    cap, and once more after the last, so the sum the parts make stays
+    within the cap.  The histograms combine by the same XOR step, with
+    weights added where masks are joined, since disjoint components'
+    weights add.
 
     A component with k support bits and n masks takes one of two engines.
     The dense engine, an integer Moebius transform over the k support
@@ -89,21 +94,51 @@ def accumulate(
             max_entries: the fold's running sum after every mask, the dense
             engine's final sum, or the product of the component sums.
     """
+    histograms = []
     parts = []
     count = 1
     for group in _components(sorted(f.terms)):
         # a partial product's count never exceeds the final one
         _check_cap(count - 1, max_entries, "at least ")
-        parts.append(_component_sum(group, max_entries, f.layout))
-        count *= 1 + len(parts[-1][0])
+        weights, part = _component_sum(group, max_entries, f.layout)
+        histograms.append(weights)
+        parts.append(part)
+        count *= 1 + _entries(part)
     _check_cap(count - 1, max_entries)
-    # the largest sum is the base, so each XOR step copies only the smaller
-    parts.sort(key=lambda part: len(part[0]), reverse=True)
-    (product, weights), *others = parts or [({}, {})]
-    for part, part_weights in others:
-        _xor_into(product, part)
-        _xor_into(weights, part_weights, _add_weights)
-    return product, weights
+    # the largest histogram is the base, so each XOR step copies the smaller
+    histograms.sort(key=len, reverse=True)
+    weights, *others = histograms or [{}]
+    for other in others:
+        _xor_into(weights, other, _add_weights)
+    return weights, parts
+
+
+def _entries(part) -> int:
+    """Number of entries in a component's signed sum, built or not."""
+    return len(part) if isinstance(part, dict) else part[1].size
+
+
+def _multiply_out(parts: list) -> dict[int, int]:
+    """The signed sum that the component parts of `accumulate` describe.
+
+    A transformed component's masks are built from its cells' indices, and
+    the component sums are combined by the XOR step, the largest as the
+    base, so each step copies only the smaller.  The parts are left as they
+    were.
+    """
+    sums = []
+    for part in parts:
+        if isinstance(part, dict):
+            sums.append(dict(part))
+        else:
+            bits, indices, values = part
+            masks = _bit_sums(indices, [1 << b for b in bits]).tolist()
+            sums.append(dict(zip(masks, values.tolist())))
+    sums.sort(key=len, reverse=True)
+    product, *others = sums or [{}]
+    for other in others:
+        _xor_into(product, other)
+    return product
 
 
 def _add_weights(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -148,11 +183,10 @@ def _stages(mask: int) -> list[int]:
     return stages
 
 
-def _component_sum(
-    masks: list[int], max_entries: int, layout: RegisterLayout
-) -> tuple[dict[int, int], dict[tuple[int, ...], int]]:
-    """One component's signed sum, from the engine its shape picks, and its
-    weight histogram."""
+def _component_sum(masks: list[int], max_entries: int, layout: RegisterLayout):
+    """One component's weight histogram and its part of the signed sum, from
+    the engine its shape picks: the folded sum, or the transform's nonzero
+    cells (see `_dense_sum`)."""
     support = 0
     for mask in masks:
         support |= mask
@@ -163,7 +197,7 @@ def _component_sum(
     if k <= _DENSE_MAX_SUPPORT and n >= k and n << k > _FOLD_MAX_STEPS:
         return _dense_sum(masks, support, max_entries, layout)
     entries = _fold_sum(masks, max_entries)
-    return entries, _weights(entries, layout)
+    return _weights(entries, layout), entries
 
 
 def _weights(
@@ -221,9 +255,10 @@ def _fold_sum(masks: list[int], max_entries: int) -> dict[int, int]:
 
 def _dense_sum(
     masks: list[int], support: int, max_entries: int, layout: RegisterLayout
-) -> tuple[dict[int, int], dict[tuple[int, ...], int]]:
-    """The final sum of `accumulate` as an integer Moebius transform over the
-    support bits of masks, and its weight histogram.
+):
+    """The weight histogram and the nonzero cells, as (bits, indices, values),
+    of an integer Moebius transform over the support bits of masks: the
+    signed sum of `accumulate` for one component, left unbuilt.
 
     k integer butterflies turn the truth table over the k support bits into
     the coefficients of the integer normal form: coefficient S is the sum of
@@ -232,6 +267,8 @@ def _dense_sum(
     magnitude is at most 2**(j - 1), so butterfly j needs a type that holds
     2**j: the buffer widens to int16 just before butterfly 7 and to int32
     just before butterfly 15, and int32 holds the 2**23 of 24 support bits.
+    Bit j of a cell's index stands for stage bits[j], so the cell's mask is
+    the sum of 1 << bits[j] over its set bits (see `_multiply_out`).
     """
     import numpy as np
 
@@ -245,11 +282,7 @@ def _dense_sum(
     indices = np.flatnonzero(coeffs)
     values = coeffs[indices]
     del coeffs
-    global_masks = _bit_sums(indices, [1 << b for b in bits]).tolist()
-    return (
-        dict(zip(global_masks, values.tolist())),
-        _dense_weights(indices, values, support, layout),
-    )
+    return _dense_weights(indices, values, support, layout), (bits, indices, values)
 
 
 def _dense_weights(

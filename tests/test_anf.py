@@ -4,8 +4,10 @@ import random
 import re
 import string
 
+import numpy as np
 import pytest
 
+from balancegate.analyzer import analyze, findings
 from balancegate.anf import AnfFunction, Register, RegisterLayout, parse_function
 from balancegate.errors import ExpressionError, ValidationError
 from conftest import (
@@ -152,6 +154,36 @@ class TestAnfFunction:
             AnfFunction(layout, frozenset({0}))
         with pytest.raises(ValidationError):
             AnfFunction(layout, frozenset({1 << 3}))
+
+    def test_numpy_integer_terms_become_ints(self):
+        f = AnfFunction(RegisterLayout.single(3), np.array([1, 6], dtype=np.int64))
+        assert f.terms == frozenset({1, 6})
+        assert {type(t) for t in f.terms} == {int}
+
+    @pytest.mark.parametrize("term", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_refuses_non_integer_terms(self, term):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            AnfFunction(RegisterLayout.single(3), [term])
+
+    def test_duplicate_terms_cancel_in_pairs(self):
+        layout = RegisterLayout.single(3)
+        # as in the parser: m0 ^ m0 is the all-zero function, with no finding
+        f = AnfFunction(layout, [1, 1])
+        assert f == parse_function("m0 ^ m0", layout)
+        assert f.terms == frozenset()
+        assert (analyze(f).ones, findings(f)) == (0, [])
+        assert AnfFunction(layout, [1, 1, 1, 6]).terms == frozenset({1, 6})
+
+    def test_terms_are_a_frozenset(self):
+        f = AnfFunction(RegisterLayout.single(3), [6, 1])
+        assert type(f.terms) is frozenset
+        assert f.terms == frozenset({1, 6})
+
+    def test_function_is_hashable(self):
+        layout = RegisterLayout.single(3)
+        f = AnfFunction(layout, [6, 1])
+        assert hash(f) == hash(AnfFunction(layout, frozenset({1, 6})))
+        assert {f: 1}[parse_function("m2*m1 ^ m0", layout)] == 1
 
     def test_empty_function_is_all_zero(self):
         f = AnfFunction(RegisterLayout.single(4), frozenset())

@@ -1083,9 +1083,10 @@ f = parse_function(text, RegisterLayout.single(11))
 ones = analyze(f).ones
 # only the dense engine has loaded numpy so far
 dense = "numpy" in sys.modules
+_, part = minterms._component_sum(masks, 100, f.layout)
 print(json.dumps(
     {"ones": ones, "dense": dense, "truthtable": count_ones_truthtable(f),
-     "sum": len(minterms._component_sum(masks, 100, f.layout)[0])}
+     "sum": len(minterms._multiply_out([part]))}
 ))
 """
 
@@ -1153,7 +1154,9 @@ class TestColdStart:
             "dense": True,
             "truthtable": lfsr.count_ones_truthtable(f),
             "sum": len(
-                minterms._component_sum(DENSE_MASKS, 100, f.layout)[0]
+                minterms._multiply_out(
+                    [minterms._component_sum(DENSE_MASKS, 100, f.layout)[1]]
+                )
             ),
         }
         assert fresh["ones"] == fresh["truthtable"] and fresh["sum"] == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from balancegate.analyzer import analyze
+from balancegate.analyzer import analyze, findings, verdict
 from balancegate.anf import AnfFunction, RegisterLayout, parse_function
 from balancegate.errors import InternalCheckError, ResourceLimitError, ValidationError
 from balancegate.lfsr import count_ones_truthtable
@@ -41,10 +41,35 @@ B0C0 = B0 | C0
 A0C0 = A0 | C0
 A0B0C0 = A0 | B0 | C0
 
+# over a(3) b(4) c(7): the dense m0*m_i ^ m_i, i = 1..7, across all three
+# registers, and the folds c1*c2 ^ c2 and c4 ^ c5*c6
+MIXED = AnfFunction(
+    RegisterLayout.from_lengths([("a", 3), ("b", 4), ("c", 7)]),
+    frozenset(
+        [1 | 1 << i for i in range(1, 8)]
+        + [1 << i for i in range(1, 8)]
+        + [0b11 << 8, 1 << 9, 1 << 11, 0b11 << 12]
+    ),
+)
+
 
 def fold(masks):
     """The fold of a mask list, duplicates and mask 0 allowed, in list order."""
     return minterms._fold_sum(masks, DEFAULT_MAX_SUM_ENTRIES)
+
+
+def summed(f, **kwargs):
+    """The signed sum `accumulate` leaves in parts, multiplied out, and its
+    weight histogram."""
+    weights, parts = accumulate(f, **kwargs)
+    return minterms._multiply_out(parts), weights
+
+
+def part_sum(result):
+    """The signed sum and weight histogram of one component, from the
+    (histogram, part) pair `_component_sum` and `_dense_sum` return."""
+    weights, part = result
+    return minterms._multiply_out([part]), weights
 
 
 class TestCommonDevelopment:
@@ -70,8 +95,8 @@ class TestCommonDevelopment:
             assert shared == expansion(a | b, 4)
 
     def test_sum_carries_coefficients_onto_unions(self):
-        before, _ = accumulate(function_of([A0B0, B0C0], 10))
-        after, _ = accumulate(function_of([A0B0, B0C0, C0], 10))
+        before, _ = summed(function_of([A0B0, B0C0], 10))
+        after, _ = summed(function_of([A0B0, B0C0, C0], 10))
         step = {m: after.get(m, 0) - before.get(m, 0) for m in before.keys() | after}
         # +c0, minus twice the common development {b0c0: 1, a0b0c0: -1}
         assert {m: d for m, d in step.items() if d} == {C0: 1, B0C0: -2, A0B0C0: 2}
@@ -85,32 +110,32 @@ class TestCommonDevelopment:
 class TestAccumulate:
     def test_single_register_example(self):
         f = parse_function(TOY, RegisterLayout.single(3))
-        h, _ = accumulate(f)
+        h, _ = summed(f)
         assert h == {0b101: 1, 0b110: -1, 0b010: 1}
 
     def test_single_register_intermediate(self):
         # after the first two masks, before the final one cancels the triple
-        h, _ = accumulate(function_of([0b101, 0b110], 3))
+        h, _ = summed(function_of([0b101, 0b110], 3))
         assert h == {0b101: 1, 0b110: 1, 0b111: -2}
 
     def test_geffe_masks(self):
-        h, _ = accumulate(function_of([A0B0, B0C0, C0], 10))
+        h, _ = summed(function_of([A0B0, B0C0, C0], 10))
         assert h == {A0B0: 1, C0: 1, B0C0: -1}
 
     def test_geffe_weights(self):
         # one weight tuple per register of a(2) b(3) c(5)
         f = AnfFunction(geffe_layout(), frozenset({A0B0, B0C0, C0}))
-        _, weights = accumulate(f)
+        weights, _ = accumulate(f)
         assert weights == {(1, 1, 0): 1, (0, 0, 1): 1, (0, 1, 1): -1}
 
     def test_two_mask_intermediate(self):
-        h, _ = accumulate(function_of([A0B0, B0C0], 10))
+        h, _ = summed(function_of([A0B0, B0C0], 10))
         assert h == {A0B0: 1, B0C0: 1, A0B0C0: -2}
 
     def test_all_terms_function_with_all_linear_terms(self):
         # six masks, coefficients settle to +1 on the linear and -1 on the
         # quadratic minterms
-        h, _ = accumulate(function_of([A0B0, B0C0, A0C0, A0, B0, C0], 10))
+        h, _ = summed(function_of([A0B0, B0C0, A0C0, A0, B0, C0], 10))
         assert h == {
             A0: 1,
             B0: 1,
@@ -121,7 +146,7 @@ class TestAccumulate:
         }
 
     def test_five_mask_variant(self):
-        h, _ = accumulate(function_of([A0B0, B0C0, A0, B0, C0], 10))
+        h, _ = summed(function_of([A0B0, B0C0, A0, B0, C0], 10))
         assert h == {
             A0: 1,
             B0: 1,
@@ -133,11 +158,11 @@ class TestAccumulate:
         }
 
     def test_common_factor_function(self):
-        h, _ = accumulate(function_of([A0B0, B0C0, B0], 10))
+        h, _ = summed(function_of([A0B0, B0C0, B0], 10))
         assert h == {A0B0: -1, B0C0: -1, A0B0C0: 2, B0: 1}
 
     def test_two_product_one_linear(self):
-        h, _ = accumulate(function_of([A0B0, B0C0, A0], 10))
+        h, _ = summed(function_of([A0B0, B0C0, A0], 10))
         assert h == {A0B0: -1, B0C0: 1, A0: 1}
 
     def test_order_independence(self):
@@ -171,8 +196,10 @@ class TestAccumulate:
                     for m in combo:
                         u |= m
                     closure.add(u)
-            h, _ = minterms._component_sum(
-                masks, DEFAULT_MAX_SUM_ENTRIES, RegisterLayout.single(width)
+            h, _ = part_sum(
+                minterms._component_sum(
+                    masks, DEFAULT_MAX_SUM_ENTRIES, RegisterLayout.single(width)
+                )
             )
             assert h.keys() <= closure
 
@@ -353,10 +380,9 @@ class TestEngines:
         cap = 1 << width
         layout = RegisterLayout.single(width)
         entries = minterms._fold_sum(masks, cap)
-        assert minterms._dense_sum(masks, support_of(masks), cap, layout) == (
-            entries,
-            minterms._weights(entries, layout),
-        )
+        assert part_sum(
+            minterms._dense_sum(masks, support_of(masks), cap, layout)
+        ) == (entries, minterms._weights(entries, layout))
 
     @pytest.mark.parametrize("m", [7, 8, 15, 16])
     def test_dense_sum_at_the_dtype_edges(self, m):
@@ -376,8 +402,8 @@ class TestEngines:
             ([1 << i for i in range(m)], parity),
             ([top] + [top | 1 << i for i in range(m)], guarded),
         ):
-            assert minterms._dense_sum(
-                masks, support_of(masks), len(expected), layout
+            assert part_sum(
+                minterms._dense_sum(masks, support_of(masks), len(expected), layout)
             ) == (expected, minterms._weights(expected, layout))
 
     @settings(max_examples=100, deadline=None)
@@ -401,7 +427,7 @@ class TestEngines:
     @example(function_of([0b0011, 0b1100], 4))
     def test_component_product_equals_fold(self, f):
         cap = 1 << f.layout.total_length
-        result, _ = accumulate(f, max_entries=cap)
+        result, _ = summed(f, max_entries=cap)
         assert result == minterms._fold_sum(sorted(f.terms), cap)
         product = 1
         for group in disjoint_groups(f.terms):
@@ -440,7 +466,7 @@ class TestEngines:
         # fold's running sum would reach 1023 entries before cancelling
         masks = [1 | 1 << i for i in range(1, 11)] * 2
         layout = RegisterLayout.single(11)
-        assert minterms._component_sum(masks, 100, layout) == ({}, {})
+        assert part_sum(minterms._component_sum(masks, 100, layout)) == ({}, {})
 
     def test_fold_serves_sparse_and_wide_supports(self, monkeypatch):
         def refuse(*args):
@@ -458,8 +484,10 @@ class TestEngines:
         )
         expected = [
             per_entry_ones(
-                minterms._dense_sum(
-                    sorted(f.terms), support_of(f.terms), 1 << 20, f.layout
+                part_sum(
+                    minterms._dense_sum(
+                        sorted(f.terms), support_of(f.terms), 1 << 20, f.layout
+                    )
                 )[0],
                 f.layout,
             )
@@ -522,7 +550,7 @@ class TestEngines:
         groups = minterms._components(masks)
         assert sorted(groups) == [[1 << i] * 2 for i in range(26)]
         layout = RegisterLayout.single(26)
-        assert [minterms._component_sum(g, 1000, layout) for g in groups] == [
+        assert [part_sum(minterms._component_sum(g, 1000, layout)) for g in groups] == [
             ({}, {})
         ] * 26
 
@@ -538,7 +566,7 @@ class TestEngines:
         ):
             minterms._component_sum([832, 800, 800], 2, layout)
         # 832 holds three stages of the one register, weights (3,)
-        assert minterms._component_sum([832, 800, 800], 3, layout) == (
+        assert part_sum(minterms._component_sum([832, 800, 800], 3, layout)) == (
             {832: 1},
             {(3,): 1},
         )
@@ -553,7 +581,7 @@ class TestEngines:
         masks = [1 | 1 << i for i in range(1, 11)] + [1 << i for i in range(1, 11)]
         f = AnfFunction(layout, frozenset(masks))
         monkeypatch.delattr(numpy, "bitwise_count", raising=False)
-        final_sum, _ = accumulate(f)
+        final_sum, _ = summed(f)
         assert dense_widths == [11]
         assert analyze(f).ones == per_entry_ones(final_sum, layout)
         assert analyze(f).ones == count_ones_truthtable(f)
@@ -566,8 +594,44 @@ class TestEngines:
         masks = [1, 0b0110, 0b1100, 0b1000, 1 << 4]
         masks += [1 << 4 | 1 << i for i in range(5, 12)]
         cap = 1 << 12
-        assert accumulate(function_of(masks, 12))[0] == minterms._fold_sum(masks, cap)
+        assert summed(function_of(masks, 12))[0] == minterms._fold_sum(masks, cap)
         assert dense_widths == [8]
+
+
+class TestFinalSumOnRead:
+    """`analyze` counts from the weight histogram alone; the report's final
+    sum is multiplied out from the component parts on first read."""
+
+    def test_count_verdict_and_findings_need_no_final_sum(self, monkeypatch):
+        def refuse(parts):
+            raise AssertionError("final sum built")
+
+        monkeypatch.setattr(minterms, "_multiply_out", refuse)
+        report = analyze(MIXED)
+        ones = count_ones_truthtable(MIXED)
+        assert report.ones == ones
+        assert report.verdict == verdict(ones, MIXED.layout.period())
+        assert report.findings == tuple(findings(MIXED))
+        with pytest.raises(AssertionError, match="final sum built"):
+            report.final_sum
+
+    def test_final_sum_is_built_once_on_first_read(self):
+        report = analyze(MIXED)
+        assert "final_sum" not in report.__dict__
+        final_sum = report.final_sum
+        assert report.__dict__["final_sum"] is final_sum
+        assert report.final_sum is final_sum
+        # building leaves the parts as they were
+        assert minterms._multiply_out(report._parts) == final_sum
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(functions(), coprime_functions()))
+    @example(MIXED)
+    def test_built_sum_is_the_fold_and_gives_the_count(self, f):
+        report = analyze(f)
+        cap = 1 << f.layout.total_length
+        assert report.final_sum == minterms._fold_sum(sorted(f.terms), cap)
+        assert per_entry_ones(report.final_sum, f.layout) == report.ones
 
 
 class TestExactOnes:
@@ -632,20 +696,9 @@ class TestExactOnes:
             [1 | 1 << i for i in range(1, 11)] + [1 << i for i in range(1, 11)], 11
         )
     )
-    # mixed over a(3) b(4) c(7): the dense m0*m_i ^ m_i, i = 1..7, across all
-    # three registers, and the folds c1*c2 ^ c2 and c4 ^ c5*c6
-    @example(
-        AnfFunction(
-            RegisterLayout.from_lengths([("a", 3), ("b", 4), ("c", 7)]),
-            frozenset(
-                [1 | 1 << i for i in range(1, 8)]
-                + [1 << i for i in range(1, 8)]
-                + [0b11 << 8, 1 << 9, 1 << 11, 0b11 << 12]
-            ),
-        )
-    )
+    @example(MIXED)
     def test_histogram_count_equals_per_entry_count(self, f):
-        final_sum, weights = accumulate(f)
+        final_sum, weights = summed(f)
         layout = f.layout
         grouped: dict[tuple[int, ...], int] = {}
         for mask, coeff in final_sum.items():
