@@ -9,6 +9,7 @@ bits, the second the bits directly above it, and so on.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -172,7 +173,7 @@ class AnfFunction:
     Canonical means: no duplicate monomials, no constant term, every mask
     nonzero and inside the layout.  The empty term set is legal and denotes
     the all-zero function.  Any iterable of integer masks is taken: each
-    becomes an int, duplicates cancel in pairs as in `parse_function`, and
+    becomes an int, duplicates cancel in pairs (XOR is self-inverse), and
     the result is stored as a frozenset; a bool, float or other non-integer
     term is refused.
     """
@@ -181,21 +182,24 @@ class AnfFunction:
     terms: frozenset[int]
 
     def __post_init__(self) -> None:
+        terms = self.terms
+        if type(terms) is not frozenset:
+            terms = tuple(terms)
+        if not all(type(t) is int for t in terms):
+            terms = tuple(map(_term_mask, terms))
+        if type(terms) is not frozenset:
+            unique = frozenset(terms)
+            if len(unique) < len(terms):
+                # XOR is self-inverse: a monomial given twice cancels
+                unique = frozenset(t for t, n in Counter(terms).items() if n % 2)
+            terms = unique
         limit = 1 << self.layout.total_length
-        terms: set[int] = set()
-        for t in self.terms:
-            try:
-                if isinstance(t, bool):
-                    raise TypeError
-                mask = index(t)
-            except TypeError:
-                raise ValidationError(f"term mask {t!r} is not an integer") from None
+        for mask in (min(terms, default=1), max(terms, default=1)):
             if not 0 < mask < limit:
                 raise ValidationError(
-                    f"term mask {t!r} outside layout of {self.layout.total_length} bits"
+                    f"term mask {mask} outside layout of {self.layout.total_length} bits"
                 )
-            terms ^= {mask}
-        object.__setattr__(self, "terms", frozenset(terms))
+        object.__setattr__(self, "terms", terms)
 
     @cached_property
     def support(self) -> int:
@@ -223,6 +227,16 @@ class AnfFunction:
         return " ^ ".join(monomials)
 
 
+def _term_mask(t) -> int:
+    """An integer-like term as an int; a bool, float or str is refused."""
+    try:
+        if isinstance(t, bool):
+            raise TypeError
+        return index(t)
+    except TypeError:
+        raise ValidationError(f"term mask {t!r} is not an integer") from None
+
+
 def parse_function(text: str, layout: RegisterLayout) -> AnfFunction:
     """Parse an ANF expression over the layout's variables.
 
@@ -238,7 +252,7 @@ def parse_function(text: str, layout: RegisterLayout) -> AnfFunction:
     """
     if not text or not text.strip():
         raise ExpressionError("empty expression")
-    terms: set[int] = set()
+    masks = []
     for monomial_text in _XOR_SPLIT.split(text):
         monomial_text = monomial_text.strip()
         if not monomial_text:
@@ -251,9 +265,8 @@ def parse_function(text: str, layout: RegisterLayout) -> AnfFunction:
                     f"empty variable (stray '*') in monomial {_shown(monomial_text)}"
                 )
             mask |= _variable_bit(token, layout)
-        # self-inverse under XOR: adding a monomial twice removes it
-        terms ^= {mask}
-    return AnfFunction(layout, frozenset(terms))
+        masks.append(mask)
+    return AnfFunction(layout, masks)
 
 
 def _variable_bit(token: str, layout: RegisterLayout) -> int:

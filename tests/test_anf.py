@@ -174,6 +174,17 @@ class TestAnfFunction:
         assert (analyze(f).ones, findings(f)) == (0, [])
         assert AnfFunction(layout, [1, 1, 1, 6]).terms == frozenset({1, 6})
 
+    def test_terms_are_read_once(self):
+        # a one-shot iterator of numpy integers, duplicates included
+        terms = iter(np.array([3, 6, 3, 5, 3], dtype=np.int64))
+        f = AnfFunction(RegisterLayout.single(3), terms)
+        assert f.terms == frozenset({3, 5, 6})
+        assert {type(t) for t in f.terms} == {int}
+
+    def test_out_of_range_message_names_the_mask(self):
+        with pytest.raises(ValidationError, match="term mask 8 outside layout of 3 bits"):
+            AnfFunction(RegisterLayout.single(3), [1, 6, 8])
+
     def test_terms_are_a_frozenset(self):
         f = AnfFunction(RegisterLayout.single(3), [6, 1])
         assert type(f.terms) is frozenset
