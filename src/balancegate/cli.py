@@ -214,16 +214,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    spec = load_spec(args.spec)
-    f = spec.function()
-    layout = f.layout
-    masks = sorted(minterm_expansion(f), reverse=True)
-    if not masks:
-        print("0 minterms")
-        return 0
-    listing = ", ".join(layout.format_masks(masks))
+    f = load_spec(args.spec).function()
+    # a list, not the array, whose truth value raises when it is empty
+    masks = minterm_expansion(f)[::-1].tolist()
+    listing = ", ".join(f.layout.format_masks(masks))
     noun = "minterm" if len(masks) == 1 else "minterms"
-    print(f"{listing} ({len(masks)} {noun})")
+    print(f"{listing} ({len(masks)} {noun})" if masks else "0 minterms")
     return 0
 
 

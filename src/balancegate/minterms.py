@@ -22,9 +22,13 @@ combination itself is multiplied out only for a caller that shows it (see
 from __future__ import annotations
 
 from operator import add, or_
+from typing import TYPE_CHECKING
 
 from .anf import AnfFunction, RegisterLayout
 from .errors import InternalCheckError, ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_MAX_SUM_ENTRIES",
@@ -407,8 +411,8 @@ def exact_ones_multi(
     return total
 
 
-def minterm_expansion(f: AnfFunction) -> frozenset[int]:
-    """Masks of the minterms making up f: the assignments where f is 1.
+def minterm_expansion(f: AnfFunction) -> np.ndarray:
+    """The minterms of f, where f is 1, as strictly ascending int64 masks.
 
     The truth table over the k stages f reads is the transform the dense
     engine of `accumulate` starts from.  Each of its ones stands for
@@ -433,7 +437,7 @@ def minterm_expansion(f: AnfFunction) -> frozenset[int]:
     bits, table = _truth_table(list(f.terms), support)
     count = int(np.count_nonzero(table)) << (length - k)
     if not count:
-        return frozenset()
+        return np.empty(0, np.int64)
     if count > DEFAULT_MAX_EXPANSION_TERMS:
         raise ResourceLimitError(
             f"minterm expansion has {count} minterms, above the"
@@ -445,6 +449,5 @@ def minterm_expansion(f: AnfFunction) -> frozenset[int]:
     ones = _bit_sums(np.flatnonzero(table), [1 << b for b in bits], np.int64)
     spread = _bit_sums(np.arange(1 << len(free)), [1 << b for b in free], np.int64)
     masks = (ones[:, None] | spread).ravel()
-    # ascending inserts fill the set's table in cache order
     masks.sort()
-    return frozenset(masks.tolist())
+    return masks

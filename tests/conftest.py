@@ -44,9 +44,8 @@ def function_of(masks, width: int) -> AnfFunction:
 def expansion(mask: int, length: int) -> frozenset[int]:
     """Minterms of one monomial over a length-stage register: every superset
     of its mask."""
-    return minterm_expansion(
-        AnfFunction(RegisterLayout.single(length), frozenset({mask}))
-    )
+    f = AnfFunction(RegisterLayout.single(length), frozenset({mask}))
+    return frozenset(minterm_expansion(f).tolist())
 
 
 def minterm_function(mask: int, length: int) -> AnfFunction:

@@ -113,7 +113,7 @@ def test_worked_register_golden_sequences():
 
 def test_conversion_worked_example():
     f = parse_function("m2*m0 ^ m2*m1 ^ m1", RegisterLayout.single(3))
-    assert minterm_expansion(f) == {0b111, 0b101, 0b011, 0b010}
+    assert minterm_expansion(f).tolist() == [0b010, 0b011, 0b101, 0b111]
     assert analyze(f).ones == 4
     assert count_ones_truthtable(f) == 4
 
@@ -200,11 +200,11 @@ def test_expansion_identity_suite():
         for mask in range(1, universe):
             f = AnfFunction(layout, frozenset({mask}))
             back = AnfFunction(layout, minterm_expansion(f))
-            assert minterm_expansion(back) == f.terms
+            assert minterm_expansion(back).tolist() == sorted(f.terms)
         for _ in range(20):
             f = random_function(rng, layout, max_terms=8)
             back = AnfFunction(layout, minterm_expansion(f))
-            assert minterm_expansion(back) == f.terms
+            assert minterm_expansion(back).tolist() == sorted(f.terms)
 
 
 def test_wide_register_symbolic_only_path():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -739,12 +740,14 @@ class TestExpansion:
 
     def test_function_minterms_example(self):
         f = parse_function(TOY, RegisterLayout.single(3))
-        assert minterm_expansion(f) == {0b111, 0b101, 0b011, 0b010}
+        assert minterm_expansion(f).tolist() == [0b010, 0b011, 0b101, 0b111]
 
     def test_empty_function_has_no_minterms(self):
         for length in (3, 128):
             f = AnfFunction(RegisterLayout.single(length), frozenset())
-            assert minterm_expansion(f) == frozenset()
+            expanded = minterm_expansion(f)
+            assert expanded.dtype == np.int64
+            assert expanded.tolist() == []
 
     def test_minterms_are_the_support(self):
         # mask present exactly when the function evaluates to 1 there
@@ -754,10 +757,9 @@ class TestExpansion:
             layout = RegisterLayout.single(length)
             f = random_function(rng, layout, max_terms=8)
             expanded = minterm_expansion(f)
-            support = {
-                x for x in range(1, 1 << length) if evaluate(f, x) == 1
-            }
-            assert expanded == support
+            assert expanded.dtype == np.int64
+            support = [x for x in range(1, 1 << length) if evaluate(f, x) == 1]
+            assert expanded.tolist() == support
 
     def test_expansion_is_involutive(self):
         rng = random.Random(2004)
@@ -766,7 +768,21 @@ class TestExpansion:
             layout = RegisterLayout.single(length)
             f = random_function(rng, layout, max_terms=8)
             back = AnfFunction(layout, minterm_expansion(f))
-            assert minterm_expansion(back) == f.terms
+            assert minterm_expansion(back).tolist() == sorted(f.terms)
+
+    def test_expansion_holds_eight_bytes_per_minterm(self):
+        # m0 over 20 stages: 2**19 masks, 4 MiB as int64, built from a few
+        # arrays of that size; a set of Python ints over them takes several
+        # times as much
+        f = AnfFunction(RegisterLayout.single(20), frozenset({1}))
+        tracemalloc.start()
+        try:
+            masks = minterm_expansion(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(masks) == 1 << 19
+        assert peak < 24 << 20
 
     def test_guard_on_wide_layouts(self):
         f = parse_function("m0", RegisterLayout.single(30))
@@ -777,14 +793,14 @@ class TestExpansion:
     @given(partly_read_functions())
     def test_minterms_are_the_ones_with_unread_stages(self, f):
         width = f.layout.total_length
-        ones = {b for b in range(1, 1 << width) if evaluate(f, b)}
-        assert minterm_expansion(f) == ones
+        ones = [b for b in range(1, 1 << width) if evaluate(f, b)]
+        assert minterm_expansion(f).tolist() == ones
 
     def test_guard_bounds_the_minterms_not_the_monomials(self):
         # m0*(1+m1)*...*(1+m21): every odd mask is a monomial, and m0 alone
         # expands to 2**21 minterms, yet f is 1 only at m0
         f = AnfFunction(RegisterLayout.single(22), frozenset(range(1, 1 << 22, 2)))
-        assert minterm_expansion(f) == {1}
+        assert minterm_expansion(f).tolist() == [1]
 
     def test_refuses_a_support_past_24_and_names_it(self):
         # 2**5 minterms, but the truth table over 25 stages is not built
