@@ -1,15 +1,24 @@
 """Shift-register simulation: the brute-force ground truth for ones counting.
 
 States are integers with bit i holding stage i, so stage 0 is both the output
-stage and the least significant bit.  A clock, applied in `_walk` and nowhere
-else, emits stage 0, shifts every stage down by one, and feeds the XOR of the
-tapped stages into stage L-1.  The taps come from the reciprocal of the
-connection polynomial: term x**e of P(x) taps stage L-e (the constant term is
-the shift itself, not a tap).
+stage and the least significant bit.  A clock emits stage 0, shifts every
+stage down by one, and feeds the XOR of the tapped stages into stage L-1.
+The taps come from the reciprocal of the connection polynomial: term x**e of
+P(x) taps stage L-e (the constant term is the shift itself, not a tap).
 
 Since every stage moves down one per clock, stage i at clock t is stage 0 at
 clock t + i.  A walk therefore keeps only stage 0, one byte per clock, and
-each stage a function reads is that stream from clock i on.
+each stage a function reads is that stream from clock i on.  `_walk` is the
+only code that clocks a register, and it makes the stream by its recurrence
+rather than clock by clock: s[t + L] is the XOR over e in P, e >= 1, of
+s[t + L - e], and since P(x)**(2**j) = P(x**(2**j)) over GF(2), so is
+s[t + L*2**j] of s[t + (L - e)*2**j].  One numpy pass per exponent thus
+makes e_min * 2**j clocks at once, e_min being P's smallest positive
+exponent.
+
+The truth-table walk packs the table 64 assignments to a uint64 word: bit k
+of word w is assignment 64*w + k, so a stage below 6 is one constant word
+pattern and a stage from 6 on selects whole words.
 
 The register states themselves are plain ints.  numpy is imported only inside
 the functions that build arrays, so importing this module, as every command
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from operator import and_
+from operator import and_, or_
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .anf import MAX_STAGES, AnfFunction, RegisterLayout
@@ -56,6 +65,18 @@ DEFAULT_TRUTHTABLE_BITS = 20
 # walk, and yields it in chunks so the arrays per chunk stay small.
 _VECTOR_CYCLE_CAP = 1 << 24
 _CHUNK = 1 << 16
+
+# The truth table's word of stage b < 6: bit k of a word is set where bit b of
+# k is, as for assignment 64*w + k of any word w.
+_FULL_WORD = (1 << 64) - 1
+_STAGE_WORDS = tuple(
+    sum(1 << k for k in range(64) if k >> b & 1) for b in range(6)
+)
+
+
+def _stage_words(mask: int) -> list[int]:
+    return [_STAGE_WORDS[b] for b in range(6) if mask >> b & 1]
+
 
 @dataclass(frozen=True)
 class LfsrConfig:
@@ -149,13 +170,31 @@ class GeneratorInstance:
 def _walk(config: LfsrConfig, steps: int) -> tuple[bytearray, int]:
     """Stage 0 over the first `steps` clocks from the seed, one byte per
     clock, and the state after them."""
-    taps, top = config.tap_mask, config.length - 1
-    stream = bytearray(steps)
-    s = config.initial_state
-    for t in range(steps):
-        stream[t] = s & 1
-        s = (s >> 1) | (((s & taps).bit_count() & 1) << top)
-    return stream, s
+    import numpy as np
+
+    length, seed = config.length, config.initial_state
+    exponents = sorted(e for e in config.polynomial if e)
+    # the L bytes past `steps` are the end state, stage i at clock steps + i
+    buf = bytearray(steps + length)
+    buf[:length] = bytes((seed >> i) & 1 for i in range(length))
+    s = np.frombuffer(buf, dtype=np.uint8)
+    done, stride = length, 1
+    while done < len(s):
+        # the largest stride with L * stride bytes done; s[t + L*stride], the
+        # XOR of s[t + (L-e)*stride], then reads only done bytes for the next
+        # e_min * stride values of t
+        while length * stride * 2 <= done:
+            stride *= 2
+        n = min(exponents[0] * stride, len(s) - done)
+        block, first = s[done : done + n], done - length * stride
+        for e in exponents:
+            start = first + (length - e) * stride
+            block ^= s[start : start + n]
+        done += n
+    s = block = None  # buf cannot be trimmed while an array views it
+    end = sum(bit << i for i, bit in enumerate(buf[steps:]))
+    del buf[steps:]
+    return buf, end
 
 
 def state_cycle(config: LfsrConfig) -> bytearray:
@@ -233,15 +272,13 @@ def _output_chunks(walked: list, terms: list[int], steps: int) -> Iterator[np.nd
         n = min(_CHUNK, steps - start)
         cols = {b: col[start % p : start % p + n] for b, (col, p) in stages.items()}
         product = lambda factor: reduce(and_, map(cols.__getitem__, factor))
-        yield _values(factors, product, n).view(np.uint8)
+        yield _values(factors, product, np.zeros(n, dtype=bool)).view(np.uint8)
 
 
-def _values(terms: list, product: Callable, n: int) -> np.ndarray:
-    """f at n points, as bools: the XOR over its terms of product(term), that
-    term's value at each point."""
-    import numpy as np
-
-    out = np.zeros(n, dtype=bool)
+def _values(terms: list, product: Callable, out: np.ndarray) -> np.ndarray:
+    """f at every point of out, which starts at zero: the XOR over its terms
+    of product(term), that term's value at each point.  A point is one bool,
+    or a word of 64 bits."""
     for t in terms:
         out ^= product(t)
     return out
@@ -283,9 +320,11 @@ def count_ones_simulated(
 def count_ones_truthtable(f: AnfFunction) -> int:
     """Ones per period counted assignment by assignment.
 
-    Walks every joint assignment whose register segments are all nonzero
-    (each register visits each of its nonzero states; the zero state never
-    occurs) and counts those where f evaluates to 1.
+    Evaluates f at every joint assignment whose register segments are all
+    nonzero (each register visits each of its nonzero states; the zero state
+    never occurs) and counts those where it is 1.  The table holds 64
+    assignments to a uint64 word, so each numpy pass evaluates one term or
+    one register's mask on 64 assignments per element.
     """
     layout = f.layout
     length = layout.total_length
@@ -296,12 +335,24 @@ def count_ones_truthtable(f: AnfFunction) -> int:
         )
     import numpy as np
 
-    x = np.arange(1 << length, dtype=np.int64)
-    on = _values(sorted(f.terms), lambda t: (x & t) == t, len(x))
-    valid = np.ones(1 << length, dtype=bool)
+    w = np.arange(max(1, (1 << length) >> 6), dtype=np.int64)
+    zero, full = np.uint64(0), np.uint64(_FULL_WORD)
+
+    def term(t: int) -> np.ndarray:
+        # the stages below 6 AND into one pattern, the others pick words
+        hi, word = t >> 6, reduce(and_, _stage_words(t), _FULL_WORD)
+        return np.where((w & hi) == hi, np.uint64(word), zero)
+
+    on = _values(sorted(f.terms), term, np.zeros(len(w), dtype=np.uint64))
     for reg in layout.registers:
-        valid &= ((x >> reg.offset) & ((1 << reg.length) - 1)) != 0
-    return int(np.count_nonzero(on & valid))
+        # nonzero segment: its stages OR'd, a whole word where one above 5 is set
+        segment = ((1 << reg.length) - 1) << reg.offset
+        hi, word = segment >> 6, reduce(or_, _stage_words(segment), 0)
+        on &= np.where((w & hi) != 0, full, np.uint64(word))
+    if length < 6:
+        # the one word holds 2**length assignments, and its other bits none
+        on &= np.uint64((1 << (1 << length)) - 1)
+    return int.from_bytes(on.tobytes(), "little").bit_count()
 
 
 def verify_maximum_length(config: LfsrConfig) -> bool:

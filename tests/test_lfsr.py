@@ -5,9 +5,10 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from balancegate import lfsr
-from balancegate.anf import MAX_STAGES, RegisterLayout, parse_function
+from balancegate.anf import MAX_STAGES, AnfFunction, RegisterLayout, parse_function
 from balancegate.errors import (
     MissingPolynomialError,
     ResourceLimitError,
@@ -50,6 +51,37 @@ def cycle_states(config):
     return [
         sum(stream[(t + i) % n] << i for i in range(config.length)) for t in range(n)
     ]
+
+
+def stepped(config, steps):
+    """`_walk`'s result by `step`: stage 0 over `steps` clocks from the seed,
+    and the state after them."""
+    s, stream = config.initial_state, bytearray()
+    for _ in range(steps):
+        stream.append(s & 1)
+        s = step(s, config)
+    return stream, s
+
+
+def layout_of(*lengths):
+    return RegisterLayout.from_lengths(
+        [(chr(ord("a") + i), n) for i, n in enumerate(lengths)]
+    )
+
+
+@st.composite
+def small_functions(draw):
+    """A function over 1 to 12 stages cut into one to three registers, so
+    tables shorter than one 64-assignment word, exactly one word and
+    registers that straddle stage 6 all occur."""
+    lengths = draw(
+        st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
+            lambda ls: sum(ls) <= 12
+        )
+    )
+    layout = layout_of(*lengths)
+    mask = st.integers(1, (1 << layout.total_length) - 1)
+    return AnfFunction(layout, draw(st.frozensets(mask, max_size=8)))
 
 
 def single_register_generator(text, config):
@@ -153,6 +185,38 @@ class TestStepAndCycle:
         cfg = LfsrConfig(3, frozenset({3, 2, 1, 0}), 0b011)
         with pytest.raises(ValidationError):
             state_cycle(cfg)
+
+    @pytest.mark.parametrize(
+        "config",
+        [LfsrConfig.standard(n) for n in range(2, 17)]
+        # x^L + 1: the smallest exponent is L, so a pass makes L * stride clocks
+        + [
+            LfsrConfig(n, frozenset({n, 0}), seed)
+            for n, seed in ((1, 1), (4, 0b0110), (9, 3))
+        ]
+        # several terms, the smallest above 1
+        + [LfsrConfig(16, frozenset({16, 15, 13, 4, 0}), 0x1234)],
+        ids=lambda cfg: f"L{cfg.length}-{cfg.polynomial_as_int:x}",
+    )
+    def test_walk_matches_stepwise(self, config):
+        period = (1 << config.length) - 1
+        for steps in (0, 1, config.length, 2 * config.length + 1, period, period + 5):
+            assert lfsr._walk(config, steps) == stepped(config, steps)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # cycles of 4 and of 16 steps, neither dividing 2**L - 1
+            LfsrConfig(4, frozenset({4, 0}), 0b0001),
+            LfsrConfig(16, frozenset({16, 0}), 1),
+            # x^8 + x^6 + x^5 + x^4 + 1 is primitive; times x + 1 it is not
+            LfsrConfig(9, frozenset({9, 8, 7, 4, 1, 0}), 1),
+        ],
+    )
+    def test_cycle_refuses_a_walk_that_misses_the_seed(self, config):
+        assert not returns_after_period(config)
+        with pytest.raises(ValidationError, match="does not return to the seed"):
+            state_cycle(config)
 
     def test_seed_only_rotates_the_cycle(self):
         reference = cycle_states(WORKED)
@@ -314,6 +378,20 @@ class TestCountingOracles:
             for _ in range(5):
                 f = random_function(rng, layout, max_terms=6)
                 assert count_ones_truthtable(f) == naive_ones_count(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=small_functions())
+    # shorter than one word, exactly one, and b straddling stage 6
+    @example(f=AnfFunction(layout_of(2, 3), frozenset({0b00101, 0b11000, 0b10})))
+    @example(f=AnfFunction(layout_of(6), frozenset({0b111111, 0b1, 0b100100})))
+    @example(
+        f=AnfFunction(
+            layout_of(4, 5, 3),
+            frozenset({0b000_10001_0011, 1 << 11, 0b011_11111_0000}),
+        )
+    )
+    def test_packed_truthtable_matches_naive_walk(self, f):
+        assert count_ones_truthtable(f) == naive_ones_count(f)
 
     def test_truthtable_guard(self):
         f = parse_function("m0", RegisterLayout.single(24))
