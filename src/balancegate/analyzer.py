@@ -11,8 +11,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
-from . import minterms
 from .anf import AnfFunction, RegisterLayout, _shown
 from .errors import ValidationError
 from .minterms import DEFAULT_MAX_SUM_ENTRIES, accumulate, exact_ones_multi
@@ -101,8 +101,8 @@ class AnalysisReport:
     """Everything the exact analysis produced, as plain data.
 
     The count comes from the weight histogram alone; `final_sum` is
-    multiplied out from the parts `accumulate` left unbuilt, once, on first
-    read, and within the entry cap `analyze` was given.
+    multiplied out by the function `accumulate` returned with it, once, on
+    first read, and within the entry cap `analyze` was given.
     """
 
     layout: RegisterLayout
@@ -116,12 +116,12 @@ class AnalysisReport:
     verdict: str
     magnitude_label: str
     findings: tuple[RuleFinding, ...]
-    _parts: list = field(compare=False, repr=False)
+    _build_sum: Callable[[], dict[int, int]] = field(compare=False, repr=False)
 
     @cached_property
     def final_sum(self) -> dict[int, int]:
         """Minterm mask -> signed coefficient, nonzero."""
-        return minterms._multiply_out(self._parts)
+        return self._build_sum()
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict; counts as decimal strings, rationals as p/q."""
@@ -295,7 +295,7 @@ def analyze(
     policy = policy or VerdictPolicy()
     layout = f.layout
     period = layout.period()
-    weights, parts = accumulate(f, max_entries=max_sum_entries)
+    weights, build_sum = accumulate(f, max_entries=max_sum_entries)
     ones = exact_ones_multi(weights, layout)
     return AnalysisReport(
         layout=layout,
@@ -309,5 +309,5 @@ def analyze(
         verdict=verdict(ones, period, policy),
         magnitude_label=magnitude_label(ones, period),
         findings=tuple(findings(f)),
-        _parts=parts,
+        _build_sum=build_sum,
     )

@@ -238,11 +238,12 @@ def _cmd_simulate(args) -> int:
     chunks = iter_output_chunks(g, steps)
     if args.full_period and not args.trust_poly:
         require_maximum_length(g)
+    import numpy as np
 
     writer = _DumpWriter(sys.stdout) if args.dump else None
     total = 0
     for chunk in chunks:
-        total += int(chunk.sum())
+        total += int(np.count_nonzero(chunk))
         if writer:
             writer.feed(chunk)
     if writer:

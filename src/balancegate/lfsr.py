@@ -28,7 +28,7 @@ does, does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from operator import and_, or_
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -131,14 +131,6 @@ class LfsrConfig:
         mask = _smallest_primitive(length)
         exponents = frozenset(e for e in range(length + 1) if mask >> e & 1)
         return cls(length, exponents, initial_state)
-
-    @cached_property
-    def tap_mask(self) -> int:
-        mask = 0
-        for e in self.polynomial:
-            if e:
-                mask |= 1 << (self.length - e)
-        return mask
 
     @property
     def polynomial_as_int(self) -> int:
@@ -314,7 +306,9 @@ def count_ones_simulated(
     chunks = iter_output_chunks(g, period)
     if verify_polynomials:
         require_maximum_length(g)
-    return sum(int(bits.sum()) for bits in chunks)
+    import numpy as np
+
+    return sum(int(np.count_nonzero(bits)) for bits in chunks)
 
 
 def count_ones_truthtable(f: AnfFunction) -> int:

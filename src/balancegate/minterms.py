@@ -15,14 +15,15 @@ gives, so the count reads the combination's weight histogram, keyed by
 those tuples, not its entries (see `exact_ones_multi`).  The engine builds
 that histogram part by part, from the transform's nonzero cells or from the
 entries of a folded part, and combines the histograms, not the parts: the
-combination itself is multiplied out only for a caller that shows it (see
-`_multiply_out`).
+combination itself is multiplied out only for a caller that shows it, by
+the function `accumulate` returns with the histogram.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import add, or_
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .anf import AnfFunction, RegisterLayout
 from .errors import InternalCheckError, ResourceLimitError
@@ -58,9 +59,9 @@ _BUTTERFLY_ACROSS_BYTES = 32
 
 def accumulate(
     f: AnfFunction, *, max_entries: int = DEFAULT_MAX_SUM_ENTRIES
-) -> tuple[dict[tuple[int, ...], int], list]:
+) -> tuple[dict[tuple[int, ...], int], Callable[[], dict[int, int]]]:
     """The weight histogram of the signed sum describing f's monomials, and
-    the parts that sum is multiplied out from.
+    a function of no arguments that multiplies that sum out.
 
     The histogram maps each tuple of per-register weights (d_1 .. d_R), the
     number of stages a mask holds in each register, to the sum of the
@@ -71,19 +72,18 @@ def accumulate(
     the XOR combination's integer normal form, which is unique, so it is
     independent of the fold order and of the engine that builds it.  Its
     masks are f's terms, so none is 0 and each fits the layout.  It is left
-    unbuilt: the masks split into variable-disjoint components, and each
-    component's part is returned as its engine left it, a folded component's
-    dict or a transformed one's (bits, indices, values) arrays, for
-    `_multiply_out` to build the sum from on demand.
+    unbuilt: the masks split into variable-disjoint components, each
+    component's engine leaves its part of the sum as it ended, and each call
+    of the returned function multiplies the parts out into a new dict.
 
     Unions of masks from disjoint components never collide, so the XOR
     g + h - 2*g*h of component sums of e_1 .. e_c entries multiplies out to
     prod(1 + e_i) - 1 entries.  That count is checked against max_entries
     before each component is built, so building stops once it passes the
-    cap, and once more after the last, so the sum the parts make stays
-    within the cap.  The histograms combine by the same XOR step, with
-    weights added where masks are joined, since disjoint components'
-    weights add.
+    cap, and once more after the last, so every sum the returned function
+    builds stays within the cap.  The histograms combine by the same XOR
+    step, with weights added where masks are joined, since disjoint
+    components' weights add.
 
     A component with k support bits and n masks takes one of two engines.
     The dense engine, an integer Moebius transform over the k support
@@ -99,49 +99,32 @@ def accumulate(
             engine's final sum, or the product of the component sums.
     """
     histograms = []
-    parts = []
+    builds = []
     count = 1
     for group in _components(sorted(f.terms)):
         # a partial product's count never exceeds the final one
         _check_cap(count - 1, max_entries, "at least ")
-        weights, part = _component_sum(group, max_entries, f.layout)
+        weights, entries, build = _component_sum(group, max_entries, f.layout)
         histograms.append(weights)
-        parts.append(part)
-        count *= 1 + _entries(part)
+        builds.append(build)
+        count *= 1 + entries
     _check_cap(count - 1, max_entries)
-    # the largest histogram is the base, so each XOR step copies the smaller
-    histograms.sort(key=len, reverse=True)
-    weights, *others = histograms or [{}]
-    for other in others:
-        _xor_into(weights, other, _add_weights)
-    return weights, parts
+    return _xor_product(histograms, _add_weights), partial(_multiply_out, builds)
 
 
-def _entries(part) -> int:
-    """Number of entries in a component's signed sum, built or not."""
-    return len(part) if isinstance(part, dict) else part[1].size
+def _multiply_out(builds: list) -> dict[int, int]:
+    """A new dict of the signed sum whose component sums the builds make."""
+    return _xor_product([build() for build in builds])
 
 
-def _multiply_out(parts: list) -> dict[int, int]:
-    """The signed sum that the component parts of `accumulate` describe.
-
-    A transformed component's masks are built from its cells' indices, and
-    the component sums are combined by the XOR step, the largest as the
-    base, so each step copies only the smaller.  The parts are left as they
-    were.
-    """
-    sums = []
-    for part in parts:
-        if isinstance(part, dict):
-            sums.append(dict(part))
-        else:
-            bits, indices, values = part
-            masks = _bit_sums(indices, [1 << b for b in bits]).tolist()
-            sums.append(dict(zip(masks, values.tolist())))
+def _xor_product(sums: list[dict], join=or_) -> dict:
+    """The XOR of the signed sums of disjoint components, in place on the
+    largest, so each step copies only the smaller; with join=_add_weights,
+    of their weight histograms."""
     sums.sort(key=len, reverse=True)
     product, *others = sums or [{}]
     for other in others:
-        _xor_into(product, other)
+        _xor_into(product, other, join)
     return product
 
 
@@ -188,9 +171,10 @@ def _stages(mask: int) -> list[int]:
 
 
 def _component_sum(masks: list[int], max_entries: int, layout: RegisterLayout):
-    """One component's weight histogram and its part of the signed sum, from
-    the engine its shape picks: the folded sum, or the transform's nonzero
-    cells (see `_dense_sum`)."""
+    """One component's weight histogram, the number of entries in its part of
+    the signed sum, and a function of no arguments that builds that part as
+    a new dict, from the engine its shape picks: the fold, or the transform
+    (see `_dense_sum`)."""
     support = 0
     for mask in masks:
         support |= mask
@@ -201,7 +185,7 @@ def _component_sum(masks: list[int], max_entries: int, layout: RegisterLayout):
     if k <= _DENSE_MAX_SUPPORT and n >= k and n << k > _FOLD_MAX_STEPS:
         return _dense_sum(masks, support, max_entries, layout)
     entries = _fold_sum(masks, max_entries)
-    return _weights(entries, layout), entries
+    return _weights(entries, layout), len(entries), entries.copy
 
 
 def _weights(
@@ -260,9 +244,10 @@ def _fold_sum(masks: list[int], max_entries: int) -> dict[int, int]:
 def _dense_sum(
     masks: list[int], support: int, max_entries: int, layout: RegisterLayout
 ):
-    """The weight histogram and the nonzero cells, as (bits, indices, values),
-    of an integer Moebius transform over the support bits of masks: the
-    signed sum of `accumulate` for one component, left unbuilt.
+    """The weight histogram, the count and the builder, as `_component_sum`
+    returns them, of the nonzero cells of an integer Moebius transform over
+    the support bits of masks: the signed sum of `accumulate` for one
+    component, left unbuilt.
 
     k integer butterflies turn the truth table over the k support bits into
     the coefficients of the integer normal form: coefficient S is the sum of
@@ -272,7 +257,7 @@ def _dense_sum(
     2**j: the buffer widens to int16 just before butterfly 7 and to int32
     just before butterfly 15, and int32 holds the 2**23 of 24 support bits.
     Bit j of a cell's index stands for stage bits[j], so the cell's mask is
-    the sum of 1 << bits[j] over its set bits (see `_multiply_out`).
+    the sum of 1 << bits[j] over its set bits (see `_cell_sum`).
     """
     import numpy as np
 
@@ -286,7 +271,14 @@ def _dense_sum(
     indices = np.flatnonzero(coeffs)
     values = coeffs[indices]
     del coeffs
-    return _dense_weights(indices, values, support, layout), (bits, indices, values)
+    weights = _dense_weights(indices, values, support, layout)
+    return weights, indices.size, partial(_cell_sum, bits, indices, values)
+
+
+def _cell_sum(bits: list[int], indices, values) -> dict[int, int]:
+    """The signed sum of a transform's nonzero cells, over the stages bits."""
+    masks = _bit_sums(indices, [1 << b for b in bits]).tolist()
+    return dict(zip(masks, values.tolist()))
 
 
 def _dense_weights(

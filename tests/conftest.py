@@ -135,9 +135,8 @@ def per_entry_ones(entries: dict[int, int], layout: RegisterLayout) -> int:
 def step(state: int, cfg: LfsrConfig) -> int:
     """The state after one clock, for a reference independent of `lfsr._walk`.
 
-    The taps are read from the polynomial itself, not from `cfg.tap_mask`:
-    term x**e of P(x), e >= 1, taps stage L - e, and their XOR enters stage
-    L - 1 as every stage moves down one.
+    Term x**e of the polynomial P(x), e >= 1, taps stage L - e, and their
+    XOR enters stage L - 1 as every stage moves down one.
     """
     feedback = 0
     for e in cfg.polynomial:

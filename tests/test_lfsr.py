@@ -117,11 +117,6 @@ class TestLfsrConfig:
                 f"no built-in maximum-length polynomial for length {length}"
             )
 
-    def test_tap_mask_is_reciprocal(self):
-        # x^3 taps stage 0, x^2 taps stage 1, constant term is no tap
-        assert WORKED.tap_mask == 0b011
-        assert LfsrConfig(4, frozenset({4, 1, 0})).tap_mask == 0b1001
-
     def test_polynomial_as_int(self):
         assert WORKED.polynomial_as_int == 0b1101
 

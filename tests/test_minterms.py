@@ -60,17 +60,20 @@ def fold(masks):
 
 
 def summed(f, **kwargs):
-    """The signed sum `accumulate` leaves in parts, multiplied out, and its
+    """The signed sum `accumulate` leaves unbuilt, multiplied out, and its
     weight histogram."""
-    weights, parts = accumulate(f, **kwargs)
-    return minterms._multiply_out(parts), weights
+    weights, build_sum = accumulate(f, **kwargs)
+    return build_sum(), weights
 
 
 def part_sum(result):
     """The signed sum and weight histogram of one component, from the
-    (histogram, part) pair `_component_sum` and `_dense_sum` return."""
-    weights, part = result
-    return minterms._multiply_out([part]), weights
+    (histogram, entry count, builder) `_component_sum` and `_dense_sum`
+    return; the count is the built sum's."""
+    weights, entries, build = result
+    part = build()
+    assert len(part) == entries
+    return part, weights
 
 
 class TestCommonDevelopment:
@@ -604,7 +607,7 @@ class TestFinalSumOnRead:
     sum is multiplied out from the component parts on first read."""
 
     def test_count_verdict_and_findings_need_no_final_sum(self, monkeypatch):
-        def refuse(parts):
+        def refuse(builds):
             raise AssertionError("final sum built")
 
         monkeypatch.setattr(minterms, "_multiply_out", refuse)
@@ -622,8 +625,25 @@ class TestFinalSumOnRead:
         final_sum = report.final_sum
         assert report.__dict__["final_sum"] is final_sum
         assert report.final_sum is final_sum
-        # building leaves the parts as they were
-        assert minterms._multiply_out(report._parts) == final_sum
+        # a new build of the same function gives the same sum
+        _, build_sum = accumulate(MIXED)
+        assert build_sum() == final_sum
+
+    @pytest.mark.parametrize(
+        "f",
+        [MIXED, function_of([0b011, 0b010, 0b001, 0b1000], 4)],
+        ids=["mixed", "two-folded"],
+    )
+    def test_each_build_is_a_new_dict(self, f):
+        # the XOR product runs in place on the largest component's sum, so
+        # a builder that handed out a component's own dict would change it
+        _, build_sum = accumulate(f)
+        first = build_sum()
+        second = build_sum()
+        assert first == second and first is not second
+        expected = dict(second)
+        first.clear()
+        assert second == expected and build_sum() == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(functions(), coprime_functions()))
