@@ -217,12 +217,20 @@ class AnfFunction:
         """
         if not self.terms:
             return "0"
-        top = self.layout.total_length - 1
+        support = self.support
+        names = {
+            b: self.layout.variable_name(b)
+            for b in range(support.bit_length())
+            if support >> b & 1
+        }
         monomials = []
         for mask in sorted(self.terms, reverse=True):
-            variables = [
-                self.layout.variable_name(b) for b in range(top, -1, -1) if mask >> b & 1
-            ]
+            # the set bits of mask, highest first
+            variables = []
+            while mask:
+                top = mask.bit_length() - 1
+                variables.append(names[top])
+                mask ^= 1 << top
             monomials.append("*".join(variables))
         return " ^ ".join(monomials)
 

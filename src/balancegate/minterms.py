@@ -5,23 +5,26 @@ exactly one 1 per period.  XORing minterm functions makes their expansions
 cancel pairwise; the engine tracks that cancellation symbolically as a signed
 integer combination of minterm masks.  Parts of the function that share no
 variable are combined separately and multiplied out, and a part that reads
-few variables gets its combination from an integer Moebius transform over
-them instead (see `accumulate`); the truth table that transform starts from
-lists the minterms (see `minterm_expansion`).
+few variables gets its combination from its truth table over them instead
+(see `accumulate`); the same truth table lists the minterms (see
+`minterm_expansion`).
 
 A minterm's share of the ones count depends only on how many stages its
 mask holds in each register, the weight tuple `RegisterLayout.weights`
 gives, so the count reads the combination's weight histogram, keyed by
 those tuples, not its entries (see `exact_ones_multi`).  The engine builds
-that histogram part by part, from the transform's nonzero cells or from the
-entries of a folded part, and combines the histograms, not the parts: the
-combination itself is multiplied out only for a caller that shows it, by
-the function `accumulate` returns with the histogram.
+that histogram part by part, from the popcounts of a part's packed truth
+table or from the entries of a folded part, and combines the histograms,
+not the parts: the combination itself is multiplied out only for a caller
+that shows it, by the function `accumulate` returns with the histogram, and
+a part's integer Moebius transform runs only for such a caller or where an
+entry cap could trip.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
+from math import comb
 from operator import add, or_
 from typing import TYPE_CHECKING, Callable
 
@@ -44,7 +47,7 @@ DEFAULT_MAX_EXPANSION_TERMS = 1 << 20
 # widest support the truth-table transform takes: its table has 2**k cells,
 # and the dense engine's coefficients stay within 2**(k - 1) in magnitude, so
 # int32 holds them; the transform climbs int8 -> int16 -> int32, running each
-# butterfly j in the narrowest type that holds 2**j (see `_dense_sum`)
+# butterfly j in the narrowest type that holds 2**j (see `_nonzero_cells`)
 _DENSE_MAX_SUPPORT = 24
 # fold entry-steps (n * 2**k, for n masks over k bits) under which a
 # component folds although the dense rule takes it: below this the fold beats
@@ -83,13 +86,17 @@ def accumulate(
     cap, and once more after the last, so every sum the returned function
     builds stays within the cap.  The histograms combine by the same XOR
     step, with weights added where masks are joined, since disjoint
-    components' weights add.
+    components' weights add.  Every sum the engine holds is a set of
+    distinct nonzero masks over f's support, so where max_entries is at
+    least 2**|support| - 1 no check can trip, and none is made.
 
     A component with k support bits and n masks takes one of two engines.
-    The dense engine, an integer Moebius transform over the k support
-    variables (k * 2**k entry-steps), runs when k <= 24 and n >= k, unless
-    the fold's bound n * 2**k is at most 1024 entry-steps; it reads its
-    histogram off the transform's nonzero cells.  The fold, which adds one
+    The dense engine works from the truth table over the k support
+    variables, packed 64 cells to a word, and runs when k <= 24 and n >= k,
+    unless the fold's bound n * 2**k is at most 1024 entry-steps.  It reads
+    its histogram off the table's popcounts; the integer Moebius transform
+    that gives its part of the sum (k * 2**k entry-steps) runs only where a
+    cap check is made, or once the sum is read.  The fold, which adds one
     mask at a time (at most n * 2**min(n, k) entry-steps), runs otherwise,
     and its histogram is summed over its own entries.
 
@@ -98,17 +105,21 @@ def accumulate(
             max_entries: the fold's running sum after every mask, the dense
             engine's final sum, or the product of the component sums.
     """
+    # every sum the engine can hold is a set of distinct nonzero masks over
+    # f's support, so where the cap has room for all of them none can trip
+    cap = None if (1 << f.support.bit_count()) - 1 <= max_entries else max_entries
     histograms = []
     builds = []
     count = 1
     for group in _components(sorted(f.terms)):
         # a partial product's count never exceeds the final one
-        _check_cap(count - 1, max_entries, "at least ")
-        weights, entries, build = _component_sum(group, max_entries, f.layout)
+        _check_cap(count - 1, cap, "at least ")
+        weights, entries, build = _component_sum(group, cap, f.layout)
         histograms.append(weights)
         builds.append(build)
-        count *= 1 + entries
-    _check_cap(count - 1, max_entries)
+        if cap is not None:
+            count *= 1 + entries
+    _check_cap(count - 1, cap)
     return _xor_product(histograms, _add_weights), partial(_multiply_out, builds)
 
 
@@ -170,11 +181,13 @@ def _stages(mask: int) -> list[int]:
     return stages
 
 
-def _component_sum(masks: list[int], max_entries: int, layout: RegisterLayout):
+def _component_sum(
+    masks: list[int], max_entries: int | None, layout: RegisterLayout
+):
     """One component's weight histogram, the number of entries in its part of
     the signed sum, and a function of no arguments that builds that part as
-    a new dict, from the engine its shape picks: the fold, or the transform
-    (see `_dense_sum`)."""
+    a new dict, from the engine its shape picks: the fold, or the truth
+    table (see `_dense_sum`).  With max_entries None, no cap is checked."""
     support = 0
     for mask in masks:
         support |= mask
@@ -199,8 +212,9 @@ def _weights(
     return {key: c for key, c in weights.items() if c}
 
 
-def _check_cap(count: int, max_entries: int, bound: str = "") -> None:
-    if count > max_entries:
+def _check_cap(count: int, max_entries: int | None, bound: str = "") -> None:
+    """Refuse a sum of count entries past max_entries; None is no cap."""
+    if max_entries is not None and count > max_entries:
         raise ResourceLimitError(
             f"signed sum has {bound}{count} entries, past the cap of {max_entries};"
             " raise the cap to continue"
@@ -231,7 +245,7 @@ def _xor_into(g: dict[int, int], h: dict[int, int], join=or_) -> None:
             g.pop(union, None)
 
 
-def _fold_sum(masks: list[int], max_entries: int) -> dict[int, int]:
+def _fold_sum(masks: list[int], max_entries: int | None) -> dict[int, int]:
     """The signed-sum fold of `accumulate`, one mask at a time, with its
     running sum checked against max_entries after every mask."""
     entries: dict[int, int] = {}
@@ -242,89 +256,199 @@ def _fold_sum(masks: list[int], max_entries: int) -> dict[int, int]:
 
 
 def _dense_sum(
-    masks: list[int], support: int, max_entries: int, layout: RegisterLayout
+    masks: list[int], support: int, max_entries: int | None, layout: RegisterLayout
 ):
     """The weight histogram, the count and the builder, as `_component_sum`
-    returns them, of the nonzero cells of an integer Moebius transform over
-    the support bits of masks: the signed sum of `accumulate` for one
-    component, left unbuilt.
+    returns them, of one component's part of the signed sum of `accumulate`,
+    from its truth table over the support bits of masks.
 
-    k integer butterflies turn the truth table over the k support bits into
-    the coefficients of the integer normal form: coefficient S is the sum of
-    (-1)**(|S| - |T|) * f(T) over the subsets T of S.  They run in place on
-    the truth table's own buffer, read as int8.  After j butterflies every
-    magnitude is at most 2**(j - 1), so butterfly j needs a type that holds
-    2**j: the buffer widens to int16 just before butterfly 7 and to int32
-    just before butterfly 15, and int32 holds the 2**23 of 24 support bits.
-    Bit j of a cell's index stands for stage bits[j], so the cell's mask is
-    the sum of 1 << bits[j] over its set bits (see `_cell_sum`).
+    The histogram comes from the packed truth table alone (see
+    `_table_weights`); the sum's cells need the integer transform (see
+    `_nonzero_cells`).  Where max_entries can trip, the transform runs here:
+    the count of its nonzero cells is checked against the cap, and the cells
+    are kept for the builder.  With max_entries None no cap can trip, the
+    count is None, and the transform waits for the builder, that is, for a
+    caller that reads the sum.
+    """
+    # the register with the most support stages takes the lowest index
+    # bits, so that a word's 64 cells fall into few weight classes
+    spans = [
+        _stages(support & ((1 << reg.length) - 1) << reg.offset)
+        for reg in layout.registers
+    ]
+    bits = [b for span in sorted(spans, key=len, reverse=True) for b in span]
+    table = _truth_table(masks, bits)
+    weights = _table_weights(table, bits, layout)
+    if max_entries is None:
+        return weights, None, partial(_cell_sum, bits, table)
+    cells = _nonzero_cells(table, len(bits))
+    _check_cap(cells[0].size, max_entries)
+    return weights, cells[0].size, partial(_cell_sum, bits, table, cells)
+
+
+def _nonzero_cells(table, k: int):
+    """The indices and values of the nonzero cells of the integer Moebius
+    transform of a packed truth table over k bits.
+
+    k integer butterflies turn the truth table into the coefficients of the
+    integer normal form: coefficient S is the sum of (-1)**(|S| - |T|) * f(T)
+    over the subsets T of S.  They run in place on the unpacked cells, read
+    as int8.  After j butterflies every magnitude is at most 2**(j - 1), so
+    butterfly j needs a type that holds 2**j: the buffer widens to int16
+    just before butterfly 7 and to int32 just before butterfly 15, and int32
+    holds the 2**23 of 24 support bits.
     """
     import numpy as np
 
-    bits, coeffs = _truth_table(masks, support)
-    coeffs = coeffs.view(np.int8)
-    for j in range(len(bits)):
+    coeffs = _cells(table, k).view(np.int8)
+    for j in range(k):
         if 1 << j > np.iinfo(coeffs.dtype).max:
             coeffs = coeffs.astype(f"i{2 * coeffs.itemsize}")
         _butterfly(coeffs, j, np.subtract)
-    _check_cap(int(np.count_nonzero(coeffs)), max_entries)
     indices = np.flatnonzero(coeffs)
-    values = coeffs[indices]
-    del coeffs
-    weights = _dense_weights(indices, values, support, layout)
-    return weights, indices.size, partial(_cell_sum, bits, indices, values)
+    return indices, coeffs[indices]
 
 
-def _cell_sum(bits: list[int], indices, values) -> dict[int, int]:
-    """The signed sum of a transform's nonzero cells, over the stages bits."""
+def _cell_sum(bits: list[int], table, cells=None) -> dict[int, int]:
+    """The signed sum of the transform's nonzero cells, over the stages bits:
+    bit j of a cell's index stands for stage bits[j].  The transform runs
+    here unless cells holds its result."""
+    indices, values = cells or _nonzero_cells(table, len(bits))
     masks = _bit_sums(indices, [1 << b for b in bits]).tolist()
     return dict(zip(masks, values.tolist()))
 
 
-def _dense_weights(
-    indices, values, support: int, layout: RegisterLayout
-) -> dict[tuple[int, ...], int]:
-    """Weight histogram, weight tuple to summed coefficient, of the nonzero
-    cells of a transform over the support bits.
+def _table_weights(table, bits: list[int], layout: RegisterLayout):
+    """Weight histogram, weight tuple to summed coefficient, of the signed
+    sum whose truth table over the stages bits is the packed table, with no
+    integer transform.
 
-    The support holds k_r stages of register r, and its bits run in
-    register order, so bit j of a projected index adds the place of its
-    register: each cell's weights d_r become the mixed-radix number with
-    radix k_r + 1, which stays below 2**k and indexes the sums.  The
-    coefficients are summed per index in int64, which holds them: the k-bit
-    transform has at most 2**k cells of magnitude at most 2**(k - 1), so each
-    sum stays within 2**47.  The digits of each nonzero sum's index then make
-    its weight tuple, and each sum becomes a Python int.
+    With z_i standing for stage i, the sum of c(S) * z**S over the masks S
+    equals the sum of f(T) * prod(z_i, i in T) * prod(1 - z_i, i not in T)
+    over the cells T.  Set every z_i of register r to z_r: a cell with t_r
+    of register r's k_r support stages set adds z_r**t_r * (1 - z_r)**(k_r -
+    t_r) per register.  So W(d), the histogram, is the sum over t of H(t) *
+    prod_r (-1)**(d_r - t_r) * C(k_r - t_r, d_r - t_r), where H(t) counts
+    the ones of the table in weight class t: one binomial matrix per
+    register axis (see `_binomial`).
+
+    The low 6 bits of a cell's index pick its place in a word, and the
+    cells of a word that share their low weights make a pattern: the
+    popcount of a word under each pattern counts that class in the word.
+    The high bits pick the word, so their weights sort the words, and each
+    run of sorted words sums to one class of H.  Every count is an exact
+    int64 with no float near it: H(t) is at most prod_r C(k_r, t_r), the
+    cells of its class, and the sum over t of C(k, t) * C(k - t, d - t) is
+    C(k, d) * 2**d <= 3**k, so no entry of any binomial pass passes
+    3**24 < 2**39 in magnitude.
     """
     import numpy as np
 
-    radixes = [k_r + 1 for k_r in layout.weights(support)]
+    # each cell's weights t_r make the mixed-radix number with radix k_r + 1,
+    # which indexes the histogram: bit j of a cell's index adds the place of
+    # the register that owns stage bits[j]
+    radixes = [k_r + 1 for k_r in layout.weights(sum(1 << b for b in bits))]
     places = []
-    per_bit = []
     place = 1
     for radix in radixes:
         places.append(place)
-        per_bit += [place] * (radix - 1)
         place *= radix
-    sums = np.zeros(place, dtype=np.int64)
-    # int64 on both sides keeps add.at on its fast path
-    np.add.at(sums, _bit_sums(indices, per_bit, np.intp), values.astype(np.int64))
-    keys = np.flatnonzero(sums)
+    per_bit = [
+        at
+        for b in bits
+        for reg, at in zip(layout.registers, places)
+        if reg.offset <= b < reg.offset + reg.length
+    ]
+    # the offset each pattern's low bits add, and the one each word's
+    # high bits add; the words sorted by it, and where each run starts
+    offsets, patterns = _word_classes(tuple(per_bit[:6]))
+    high = _bit_sums(np.arange(table.size), per_bit[6:], np.intp)
+    order = np.argsort(high)
+    high = high[order]
+    starts = np.flatnonzero(np.diff(high, prepend=-1))
+    counts = _popcount(table[order] & np.array(patterns, dtype=np.uint64)[:, None])
+    hist = np.zeros(place, dtype=np.int64)
+    np.add.at(
+        hist,
+        np.add.outer(offsets, high[starts]),
+        np.add.reduceat(counts, starts, axis=1).astype(np.int64),
+    )
+    # the last register's digit is the slowest: each pass maps it from t_r
+    # to d_r and makes it the fastest, so after R passes the order is back
+    for radix in reversed(radixes):
+        hist = hist.reshape(radix, -1).T @ _binomial(radix - 1)
+    keys = np.flatnonzero(hist)
     digits = [(keys // place % radix).tolist() for place, radix in zip(places, radixes)]
-    return dict(zip(zip(*digits), sums[keys].tolist()))
+    return dict(zip(zip(*digits), hist.ravel()[keys].tolist()))
 
 
-def _truth_table(masks: list[int], support: int):
-    """Support bits and truth table of the XOR of the monomials in masks,
-    whose union is support.
+@lru_cache(maxsize=None)
+def _word_classes(per_bit: tuple[int, ...]):
+    """The cells of a word grouped by the offset their index adds, where bit
+    j adds per_bit[j]: the offsets, and for each the pattern of its cells."""
+    classes: dict[int, int] = {}
+    for cell in range(1 << len(per_bit)):
+        offset = sum(p for j, p in enumerate(per_bit) if cell >> j & 1)
+        classes[offset] = classes.get(offset, 0) | 1 << cell
+    return list(classes), list(classes.values())
 
-    The masks, projected onto the k support bits (bit j of a projected index
-    is stage bits[j]), XOR into an ANF table of 2**k cells, and k XOR
-    butterflies turn it into the truth table over the support assignments.
+
+@lru_cache(maxsize=None)
+def _binomial(k: int):
+    """The k + 1 by k + 1 int64 matrix (-1)**(d - t) * C(k - t, d - t), row
+    t, column d, zero where d < t."""
+    import numpy as np
+
+    rows = [
+        [(-1) ** (d - t) * comb(k - t, d - t) if d >= t else 0 for d in range(k + 1)]
+        for t in range(k + 1)
+    ]
+    return np.array(rows, dtype=np.int64)
+
+
+def _popcount(words):
+    """The number of set bits of each uint64 word, counted in parallel in
+    the word, in place: numpy 1.24 has no bitwise_count."""
+    import numpy as np
+
+    m1, m2, m4, h01 = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0xF, 1))
+    # one spare buffer, so that no step allocates
+    spare = words >> np.uint64(1)
+    spare &= m1
+    words -= spare
+    np.right_shift(words, np.uint64(2), out=spare)
+    spare &= m2
+    words &= m2
+    words += spare
+    np.right_shift(words, np.uint64(4), out=spare)
+    words += spare
+    words &= m4
+    words *= h01
+    words >>= np.uint64(56)
+    return words
+
+
+def _cells(table, k: int):
+    """The 2**k cells of a packed truth table, one uint8 each."""
+    import numpy as np
+
+    return np.unpackbits(
+        table.astype("<u8", copy=False).view(np.uint8), count=1 << k, bitorder="little"
+    )
+
+
+def _truth_table(masks: list[int], bits: list[int]):
+    """Truth table of the XOR of the monomials in masks over the stages bits,
+    packed 64 cells to a uint64 word: cell i, the assignment that sets stage
+    bits[j] for each set bit j of i, is bit i % 64 of word i // 64.
+
+    The masks, projected onto the k bits, XOR into a packed ANF table of
+    2**k cells, and k XOR butterflies turn it into the truth table: the
+    first 6 within each word, by shifts and masks, the rest across words.
     """
     import numpy as np
 
-    bits = _stages(support)
+    k = len(bits)
     index = np.zeros(len(masks), dtype=np.int64)
     # only the 32-bit words that hold support bits
     for lo in sorted({b & -32 for b in bits}):
@@ -334,11 +458,17 @@ def _truth_table(masks: list[int], support: int):
         for j, b in enumerate(bits):
             if lo <= b < lo + 32:
                 index |= (word >> (b - lo) & 1) << j
-    table = np.zeros(1 << len(bits), dtype=np.uint8)
-    np.bitwise_xor.at(table, index, 1)
-    for j in range(len(bits)):
-        _butterfly(table, j, np.bitwise_xor)
-    return bits, table
+    table = np.zeros(max(1 << k >> 6, 1), dtype=np.uint64)
+    np.bitwise_xor.at(
+        table, index >> 6, np.uint64(1) << (index & 63).astype(np.uint64)
+    )
+    for j in range(min(k, 6)):
+        # the cells of each word whose index has bit j clear
+        clear = ((1 << 64) - 1) // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1)
+        table ^= (table & np.uint64(clear)) << np.uint64(1 << j)
+    for j in range(6, k):
+        _butterfly(table, j - 6, np.bitwise_xor)
+    return table
 
 
 def _butterfly(table, j: int, op) -> None:
@@ -426,8 +556,9 @@ def minterm_expansion(f: AnfFunction) -> np.ndarray:
             f"minterm expansion reads {k} variables, past the"
             f" {_DENSE_MAX_SUPPORT} it can take"
         )
-    bits, table = _truth_table(list(f.terms), support)
-    count = int(np.count_nonzero(table)) << (length - k)
+    bits = _stages(support)
+    ones = np.flatnonzero(_cells(_truth_table(list(f.terms), bits), k))
+    count = ones.size << (length - k)
     if not count:
         return np.empty(0, np.int64)
     if count > DEFAULT_MAX_EXPANSION_TERMS:
@@ -438,7 +569,7 @@ def minterm_expansion(f: AnfFunction) -> np.ndarray:
     # the guards leave k <= 24 read stages and 2**(L - k) <= 2**20 minterms
     # for each one of the table: at most 44 stages, so int64 holds every mask
     free = [b for b in range(length) if not support >> b & 1]
-    ones = _bit_sums(np.flatnonzero(table), [1 << b for b in bits], np.int64)
+    ones = _bit_sums(ones, [1 << b for b in bits], np.int64)
     spread = _bit_sums(np.arange(1 << len(free)), [1 << b for b in free], np.int64)
     masks = (ones[:, None] | spread).ravel()
     masks.sort()

@@ -205,6 +205,28 @@ class TestAnfFunction:
         f = parse_function("m1 ^ m0*m2 ^ m2*m1", RegisterLayout.single(3))
         assert f.to_text() == "m2*m1 ^ m2*m0 ^ m1"
 
+    @pytest.mark.parametrize(
+        "shape, text",
+        [
+            # a 125-stage fold-wide benchmark design of 14 monomials
+            (
+                (("a", 29), ("b", 31), ("c", 32), ("d", 33)),
+                "d18*d9*c5 ^ d18*c22*b29*a15 ^ d18*c15*a4 ^ d9*a1 ^ c28*c15*b25"
+                " ^ c22*c15*b2 ^ c15*c5*a1 ^ c15*b25*a15 ^ c15 ^ b29*b25*b2*a15"
+                " ^ b29*a15*a1 ^ b29 ^ b2 ^ a4",
+            ),
+            # the 128-stage design of the README
+            ((("m", 128),), "m127*m64 ^ m100*m55*m3 ^ m0"),
+        ],
+        ids=["fold-wide", "readme-128"],
+    )
+    def test_render_of_wide_designs(self, shape, text):
+        # parsed from the monomials and their variables in reverse order
+        layout = RegisterLayout.from_lengths(shape)
+        monomials = text.split(" ^ ")[::-1]
+        scrambled = " ^ ".join("*".join(m.split("*")[::-1]) for m in monomials)
+        assert parse_function(scrambled, layout).to_text() == text
+
     def test_support_is_the_union_of_the_monomials(self):
         assert AnfFunction(RegisterLayout.single(4), frozenset()).support == 0
         rng = random.Random(1004)

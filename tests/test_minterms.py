@@ -247,18 +247,39 @@ def subset_transform(cells, signed):
 
 @st.composite
 def butterfly_tables(draw):
-    """(op, table): 2**k cells, k <= 10, in uint8 for XOR butterflies or in
-    int8, int16 or int32 for subtracting ones, each cell at most
+    """(op, table): 2**k cells, k <= 10, in uint8 or in uint64, the packed
+    truth table's words, for XOR butterflies or in int8, int16 or int32 for
+    subtracting ones, each cell at most
     max >> k in magnitude, so that no transform leaves the type."""
     k = draw(st.integers(0, 10))
-    dtype = draw(st.sampled_from(["uint8", "int8", "int16", "int32"]))
-    if dtype == "uint8":
-        op, cells = np.bitwise_xor, st.integers(0, 255)
+    dtype = draw(st.sampled_from(["uint8", "uint64", "int8", "int16", "int32"]))
+    if dtype.startswith("u"):
+        op, cells = np.bitwise_xor, st.integers(0, int(np.iinfo(dtype).max))
     else:
         bound = int(np.iinfo(dtype).max) >> k
         op, cells = np.subtract, st.integers(-bound, bound)
     table = draw(st.lists(cells, min_size=1 << k, max_size=1 << k))
     return op, np.array(table, dtype=dtype)
+
+
+@st.composite
+def packed_tables(draw):
+    """(table, bits, layout): the packed truth table of up to 40 masks, mask
+    0 and duplicates included, over 1..14 support stages of a layout of 1..4
+    registers of 1..8 stages, so that k < 6, words shared between registers
+    and registers with fewer than 6 support stages are all common; the
+    stages in any order, or grouped by register as the dense engine takes
+    them."""
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    layout = RegisterLayout.from_lengths(zip("abcd", lengths))
+    width = layout.total_length
+    k = draw(st.integers(1, min(14, width)))
+    bits = draw(st.permutations(range(width)))[:k]
+    if draw(st.booleans()):
+        bits.sort()
+    picks = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=40))
+    masks = [sum(1 << b for j, b in enumerate(bits) if pick >> j & 1) for pick in picks]
+    return minterms._truth_table(masks, bits), bits, layout
 
 
 @st.composite
@@ -426,6 +447,17 @@ class TestEngines:
         assert table.tolist() == subset_transform(cells, op is np.subtract)
 
     @settings(max_examples=300, deadline=None)
+    @given(packed_tables())
+    def test_packed_histogram_is_the_transform_histogram(self, case):
+        # read off the table's popcounts and binomials, and summed over the
+        # nonzero cells of the integer transform
+        table, bits, layout = case
+        cells = minterms._cell_sum(bits, table)
+        assert minterms._table_weights(table, bits, layout) == minterms._weights(
+            cells, layout
+        )
+
+    @settings(max_examples=300, deadline=None)
     @given(functions())
     @example(function_of([], 3))
     @example(function_of([0b0011, 0b1100], 4))
@@ -509,7 +541,7 @@ class TestEngines:
 
     @pytest.fixture
     def dense_widths(self, monkeypatch):
-        """Support width of every component the dense engine transforms."""
+        """Support width of every component the dense engine takes."""
         dense_sum = minterms._dense_sum
         widths = []
 
@@ -577,7 +609,7 @@ class TestEngines:
 
     def test_dense_weights_need_no_bitwise_count(self, monkeypatch, dense_widths):
         # numpy 1.24, the declared floor, has no bitwise_count: the dense
-        # engine's popcounts go through byte tables.  m0*m_i ^ m_i, i = 1..10,
+        # engine counts bits in parallel in uint64.  m0*m_i ^ m_i, i = 1..10,
         # over a(3) b(4) c(7), k = 11 and n = 20 across all three registers
         import numpy
 
@@ -605,6 +637,34 @@ class TestEngines:
 class TestFinalSumOnRead:
     """`analyze` counts from the weight histogram alone; the report's final
     sum is multiplied out from the component parts on first read."""
+
+    def test_transform_runs_where_a_cap_can_trip_or_the_sum_is_read(
+        self, monkeypatch
+    ):
+        # MIXED reads 13 stages, and its one dense component m0*m_i ^ m_i,
+        # i = 1..7, 8; every sum the engine holds fits a cap of 2**13 - 1
+        butterfly = minterms._butterfly
+        subtractions = []
+
+        def recording(table, j, op):
+            if op is np.subtract:
+                subtractions.append(j)
+            butterfly(table, j, op)
+
+        monkeypatch.setattr(minterms, "_butterfly", recording)
+        full = (1 << MIXED.support.bit_count()) - 1
+        assert full == (1 << 13) - 1
+        loose = analyze(MIXED, max_sum_entries=full)
+        assert subtractions == []
+        loose_sum = loose.final_sum
+        assert subtractions == list(range(8))
+        subtractions.clear()
+        tight = analyze(MIXED, max_sum_entries=full - 1)
+        assert subtractions == list(range(8))
+        assert tight.final_sum == loose_sum and tight.ones == loose.ones
+        # the cells the cap check made serve the read
+        assert subtractions == list(range(8))
+        assert loose_sum == minterms._fold_sum(sorted(MIXED.terms), full)
 
     def test_count_verdict_and_findings_need_no_final_sum(self, monkeypatch):
         def refuse(builds):
