@@ -22,7 +22,6 @@ from .errors import (
     ValidationError,
 )
 from .lfsr import (
-    DEFAULT_SIMULATION_BUDGET,
     count_ones_simulated,
     count_ones_truthtable,
     iter_output_chunks,
@@ -137,10 +136,11 @@ def _notice(message: str) -> None:
     print(f"notice: {message}", file=sys.stderr)
 
 
-def _resolve_budget() -> int:
+def _resolve_budget() -> int | None:
+    """The step budget the environment sets; None leaves the library's."""
     raw = os.environ.get(ENV_MAX_PERIOD)
     if raw is None:
-        return DEFAULT_SIMULATION_BUDGET
+        return None
     try:
         value = int(raw)
     except ValueError:
@@ -150,27 +150,6 @@ def _resolve_budget() -> int:
     if value < 1:
         raise ValidationError(f"{ENV_MAX_PERIOD} must be positive")
     return value
-
-
-class _DumpWriter:
-    def __init__(self, stream):
-        self.stream = stream
-        self.pending = ""
-
-    def feed(self, bits) -> None:
-        """Append a uint8 array of 0s and 1s."""
-        digits = (bits + ord("0")).tobytes().decode("ascii")
-        text = self.pending + digits
-        end = len(text) - len(text) % 64
-        if end:
-            lines = (text[i : i + 64] + "\n" for i in range(0, end, 64))
-            self.stream.write("".join(lines))
-        self.pending = text[end:]
-
-    def close(self) -> None:
-        if self.pending:
-            self.stream.write(self.pending + "\n")
-            self.pending = ""
 
 
 def _print_report(report: AnalysisReport) -> None:
@@ -228,26 +207,21 @@ def _cmd_simulate(args) -> int:
     spec = load_spec(args.spec)
     g = spec.instance(notice=_notice)
     steps = g.layout.period() if args.full_period else args.steps
-    # the order count_ones_simulated checks in: the budget, then the walk's
-    # limits, both before any --trust-poly hint
-    if steps > budget:
-        raise ResourceLimitError(
-            f"{steps} steps exceed the simulation budget {budget}"
-            f" (set {ENV_MAX_PERIOD} to raise it)"
-        )
-    chunks = iter_output_chunks(g, steps)
+    # its limits are checked at the call, so they come before any
+    # --trust-poly hint, as in count_ones_simulated
+    chunks = iter_output_chunks(g, steps, max_steps=budget)
     if args.full_period and not args.trust_poly:
         require_maximum_length(g)
     import numpy as np
 
-    writer = _DumpWriter(sys.stdout) if args.dump else None
     total = 0
     for chunk in chunks:
         total += int(np.count_nonzero(chunk))
-        if writer:
-            writer.feed(chunk)
-    if writer:
-        writer.close()
+        if args.dump:
+            # every chunk but the last is a whole number of 64-bit lines
+            digits = (chunk + ord("0")).tobytes().decode("ascii")
+            lines = (digits[i : i + 64] for i in range(0, len(digits), 64))
+            print(*lines, sep="\n")
     print(f"steps: {steps}")
     print(f"ones: {total}")
     return 0

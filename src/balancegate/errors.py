@@ -32,7 +32,7 @@ class MissingPolynomialError(ValidationError):
 
 
 class ResourceLimitError(BalanceGateError):
-    """A configured guard (sum size, expansion size, simulation budget) was hit."""
+    """A configured guard (sum size, expansion size, step budget) was hit."""
 
     exit_code = 4
 

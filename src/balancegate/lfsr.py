@@ -208,8 +208,14 @@ def state_cycle(config: LfsrConfig) -> bytearray:
     return stream
 
 
-def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]:
+def iter_output_chunks(
+    g: GeneratorInstance, steps: int, *, max_steps: int | None = None
+) -> Iterator[np.ndarray]:
     """Output bits as uint8 arrays, built from each read register's stream.
+
+    Every chunk but the last holds exactly _CHUNK = 2**16 bits, a whole
+    number of 64-bit lines, and the last holds the rest (no chunk at all for
+    zero steps).
 
     Each register the function reads is walked once as its stage-0 output,
     one byte per clock, and a stage it reads is a slice of that stream.  A
@@ -219,13 +225,23 @@ def iter_output_chunks(g: GeneratorInstance, steps: int) -> Iterator[np.ndarray]
     Each chunk is the XOR over the terms of the AND of their stages' slices,
     so the function may read any number of stages.
 
-    Raises, at the call and before any register is walked:
+    This is the one place a simulation is checked.  In this order, at the
+    call and before any register is walked, it raises:
         ValidationError: steps is negative.
+        ResourceLimitError: steps exceeds max_steps, DEFAULT_SIMULATION_BUDGET
+            when None; its hint names the CLI's BALANCEGATE_MAX_PERIOD.
         ResourceLimitError: a register the function reads would walk more
             than 2**24 states.
     """
     if steps < 0:
         raise ValidationError("steps must be non-negative")
+    budget = DEFAULT_SIMULATION_BUDGET if max_steps is None else max_steps
+    if steps > budget:
+        refusal = ResourceLimitError(
+            f"{steps} steps exceed the simulation budget {budget}"
+        )
+        refusal.hint = "set BALANCEGATE_MAX_PERIOD to raise it"
+        raise refusal
     walked = []
     for cfg, reg in zip(g.lfsrs, g.layout.registers):
         read = g.function.support >> reg.offset & ((1 << reg.length) - 1)
@@ -289,21 +305,15 @@ def count_ones_simulated(
     the state order, neither changes the multiset of joint states visited.
 
     Raises:
-        ResourceLimitError: before any register is walked, when the full
-            period exceeds the step budget, or the function reads a register
-            of more than 24 stages.
+        ResourceLimitError: iter_output_chunks' budget and state limits on
+            the full period, with max_steps as its budget, before any register
+            is walked.
         UnverifiedPolynomialError: a polynomial cannot be verified and
             verify_polynomials was left on; checked after the limits above.
         ValidationError: a polynomial fails maximum-length verification, or,
             with verify_polynomials off, a walk does not return to its seed.
     """
-    period = g.layout.period()
-    budget = DEFAULT_SIMULATION_BUDGET if max_steps is None else max_steps
-    if period > budget:
-        raise ResourceLimitError(
-            f"period {period} exceeds the simulation budget {budget}"
-        )
-    chunks = iter_output_chunks(g, period)
+    chunks = iter_output_chunks(g, g.layout.period(), max_steps=max_steps)
     if verify_polynomials:
         require_maximum_length(g)
     import numpy as np

@@ -10,14 +10,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from balancegate import errors, lfsr, minterms
 from balancegate.analyzer import analyze
 from balancegate.anf import AnfFunction, RegisterLayout, parse_function
-from balancegate.cli import _DumpWriter, main
+from balancegate.cli import main
 from balancegate.errors import MissingPolynomialError
 from balancegate.specfile import parse_spec
 from conftest import COPRIME_SHAPES, generate_output, maximum_length_polynomials
@@ -295,9 +294,9 @@ class TestSimulateCommand:
         assert main(["simulate", spec_file(GEFFE_SPEC), "--steps", "-1"]) == 2
 
     def test_long_run_uses_chunks_and_wraps_dump(self, spec_file, capsys, monkeypatch):
-        # 50 chunks of 100 bits, not a multiple of a 64-bit dump line, so the
-        # dump crosses 49 chunk boundaries
-        monkeypatch.setattr(lfsr, "_CHUNK", 100)
+        # 39 chunks of 128 bits and one of 8, so the dump crosses 39 chunk
+        # boundaries
+        monkeypatch.setattr(lfsr, "_CHUNK", 128)
         code = main(["simulate", spec_file(ONE_MINTERM_SPEC), "--steps", "5000", "--dump"])
         out = capsys.readouterr().out
         assert code == 0
@@ -308,22 +307,6 @@ class TestSimulateCommand:
         assert all(len(line) == 64 for line in bit_lines[:-1])
         assert len(bit_lines[-1]) == 8
         assert "".join(bit_lines) == "1000000" * 714 + "10"
-
-    def test_dump_lines_do_not_depend_on_chunk_sizes(self):
-        bits = np.random.default_rng(7).integers(0, 2, 329, dtype=np.uint8)
-        whole = io.StringIO()
-        writer = _DumpWriter(whole)
-        writer.feed(bits)
-        writer.close()
-        pieces = io.StringIO()
-        writer = _DumpWriter(pieces)
-        start = 0
-        for size in (1, 63, 65, 200):
-            writer.feed(bits[start : start + size])
-            start += size
-        writer.close()
-        assert pieces.getvalue() == whole.getvalue()
-        assert whole.getvalue().count("\n") == 6
 
     def test_budget_env(self, spec_file, capsys, monkeypatch):
         monkeypatch.setenv("BALANCEGATE_MAX_PERIOD", "100")
@@ -349,6 +332,32 @@ class TestSimulateCommand:
         assert code == 4
         assert "exceed the simulation budget 100" in captured.err
         assert "--trust-poly" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, steps",
+        [
+            (["verify"], 651),
+            (["simulate", "--full-period"], 651),
+            (["simulate", "--steps", "700"], 700),
+        ],
+    )
+    def test_budget_message_is_shared(
+        self, spec_file, capsys, monkeypatch, argv, steps
+    ):
+        # one check in the library words the refusal for both commands
+        monkeypatch.setenv("BALANCEGATE_MAX_PERIOD", "100")
+        code = main([argv[0], spec_file(GEFFE_SPEC), *argv[1:]])
+        captured = capsys.readouterr()
+        message = f"{steps} steps exceed the simulation budget 100"
+        if argv[0] == "verify":
+            assert code == 0
+            assert f"simulated:   skipped ({message})\n" in captured.out
+        else:
+            assert code == 4
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1] == (
+                f"error: {message}; set BALANCEGATE_MAX_PERIOD to raise it"
+            )
 
     @pytest.mark.parametrize("raw", ["zebra", "-5", "0"])
     def test_bad_budget_env(self, spec_file, capsys, monkeypatch, raw):
@@ -477,7 +486,7 @@ class TestVerifyCommand:
         assert "simulated:   skipped" in out
         assert "agreement:   PASS" in out
         assert out.splitlines()[2] == (
-            "simulated:   skipped (period 651 exceeds the simulation budget 100)"
+            "simulated:   skipped (651 steps exceed the simulation budget 100)"
         )
 
     @pytest.mark.parametrize("length", [17, 20])

@@ -16,6 +16,7 @@ from balancegate.errors import (
     ValidationError,
 )
 from balancegate.lfsr import (
+    DEFAULT_SIMULATION_BUDGET,
     GeneratorInstance,
     LfsrConfig,
     count_ones_simulated,
@@ -285,10 +286,11 @@ class TestGeneratorOutput:
         "config, text, steps, error",
         [
             (WORKED, "m0", -1, ValidationError),
+            (WORKED, "m0", DEFAULT_SIMULATION_BUDGET + 1, ResourceLimitError),
             # 2**25 - 1 states of the register the function reads
             (LfsrConfig(25, frozenset({25, 3, 0})), "m0", 1 << 25, ResourceLimitError),
         ],
-        ids=["negative-steps", "state-cap"],
+        ids=["negative-steps", "budget", "state-cap"],
     )
     def test_limits_raise_when_called(self, monkeypatch, config, text, steps, error):
         def walked(*args):
@@ -300,6 +302,16 @@ class TestGeneratorOutput:
         # the call alone raises; no item is ever requested
         with pytest.raises(error):
             iter_output_chunks(g, steps)
+
+    def test_every_chunk_but_the_last_is_whole_64_bit_lines(self):
+        layout = geffe_layout()
+        f = parse_function("a0*b0 ^ b0*c0 ^ c0", layout)
+        configs = tuple(LfsrConfig.standard(r.length) for r in layout.registers)
+        g = GeneratorInstance(layout, configs, f)
+        for steps in (0, 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5):
+            sizes = [len(chunk) for chunk in iter_output_chunks(g, steps)]
+            assert sum(sizes) == steps
+            assert all(n % 64 == 0 for n in sizes[:-1])
 
     def test_sixty_three_read_stages_match_stepwise(self):
         # the all-ones seed keeps the 63-stage product at 1 for the first 8
