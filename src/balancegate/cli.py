@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .lfsr import (
+    ENV_MAX_PERIOD,
     count_ones_simulated,
     count_ones_truthtable,
     iter_output_chunks,
@@ -29,8 +30,6 @@ from .lfsr import (
 )
 from .minterms import DEFAULT_MAX_SUM_ENTRIES, minterm_expansion
 from .specfile import load_spec
-
-ENV_MAX_PERIOD = "BALANCEGATE_MAX_PERIOD"
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -45,6 +45,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DEFAULT_SIMULATION_BUDGET",
+    "ENV_MAX_PERIOD",
     "DEFAULT_VERIFICATION_BOUND",
     "DEFAULT_TRUTHTABLE_BITS",
     "LfsrConfig",
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 DEFAULT_SIMULATION_BUDGET = 1 << 31
+# the environment variable through which the command line moves that budget
+ENV_MAX_PERIOD = "BALANCEGATE_MAX_PERIOD"
 DEFAULT_VERIFICATION_BOUND = 24
 DEFAULT_TRUTHTABLE_BITS = 20
 
@@ -229,7 +232,7 @@ def iter_output_chunks(
     call and before any register is walked, it raises:
         ValidationError: steps is negative.
         ResourceLimitError: steps exceeds max_steps, DEFAULT_SIMULATION_BUDGET
-            when None; its hint names the CLI's BALANCEGATE_MAX_PERIOD.
+            when None; its hint names ENV_MAX_PERIOD.
         ResourceLimitError: a register the function reads would walk more
             than 2**24 states.
     """
@@ -240,7 +243,7 @@ def iter_output_chunks(
         refusal = ResourceLimitError(
             f"{steps} steps exceed the simulation budget {budget}"
         )
-        refusal.hint = "set BALANCEGATE_MAX_PERIOD to raise it"
+        refusal.hint = f"set {ENV_MAX_PERIOD} to raise it"
         raise refusal
     walked = []
     for cfg, reg in zip(g.lfsrs, g.layout.registers):

@@ -6,8 +6,8 @@ cancel pairwise; the engine tracks that cancellation symbolically as a signed
 integer combination of minterm masks.  Parts of the function that share no
 variable are combined separately and multiplied out, and a part that reads
 few variables gets its combination from its truth table over them instead
-(see `accumulate`); the same truth table lists the minterms (see
-`minterm_expansion`).
+(see `accumulate`); the same truth table, taken over every layout stage,
+lists the minterms (see `minterm_expansion`).
 
 A minterm's share of the ones count depends only on how many stages its
 mask holds in each register, the weight tuple `RegisterLayout.weights`
@@ -44,15 +44,19 @@ __all__ = [
 
 DEFAULT_MAX_SUM_ENTRIES = 1_000_000
 DEFAULT_MAX_EXPANSION_TERMS = 1 << 20
-# widest support the truth-table transform takes: its table has 2**k cells,
-# and the dense engine's coefficients stay within 2**(k - 1) in magnitude, so
-# int32 holds them; the transform climbs int8 -> int16 -> int32, running each
-# butterfly j in the narrowest type that holds 2**j (see `_nonzero_cells`)
+# widest truth table the module builds, in stages: the dense engine's, over
+# a component's support, and the minterm expansion's, over the whole layout.
+# The table has 2**k cells, and the dense engine's coefficients stay within
+# 2**(k - 1) in magnitude, so int32 holds them; the transform climbs int8 ->
+# int16 -> int32, running each butterfly j in the narrowest type that holds
+# 2**j (see `_nonzero_cells`)
 _DENSE_MAX_SUPPORT = 24
-# fold entry-steps (n * 2**k, for n masks over k bits) under which a
-# component folds although the dense rule takes it: below this the fold beats
-# the transform's fixed numpy cost of 25-60 us (measured crossover, k = 1..10)
-_FOLD_MAX_STEPS = 1024
+# fold entry-steps (n * 2**k, for n masks over k bits) up to which a
+# component folds although the dense rule takes it: the dense engine's fixed
+# cost is 100-180 us at k = 5..10, and the fold beats it up to about 17-24
+# masks at any k, so no step count splits them exactly; this one put the
+# fewest measured components on the slower engine (k = 5..12)
+_FOLD_MAX_STEPS = 1536
 # widest pair of halves, in bytes, whose butterfly walks across the pairs:
 # numpy's inner loop then runs over the 2**(k - j - 1) pairs, not over the
 # 2**j cells of one half, whose per-call cost dominates the low bits
@@ -93,7 +97,7 @@ def accumulate(
     A component with k support bits and n masks takes one of two engines.
     The dense engine works from the truth table over the k support
     variables, packed 64 cells to a word, and runs when k <= 24 and n >= k,
-    unless the fold's bound n * 2**k is at most 1024 entry-steps.  It reads
+    unless the fold's bound n * 2**k is at most 1536 entry-steps.  It reads
     its histogram off the table's popcounts; the integer Moebius transform
     that gives its part of the sum (k * 2**k entry-steps) runs only where a
     cap check is made, or once the sum is read.  The fold, which adds one
@@ -536,41 +540,30 @@ def exact_ones_multi(
 def minterm_expansion(f: AnfFunction) -> np.ndarray:
     """The minterms of f, where f is 1, as strictly ascending int64 masks.
 
-    The truth table over the k stages f reads is the transform the dense
-    engine of `accumulate` starts from.  Each of its ones stands for
-    2**(L - k) minterms, one per assignment of the L - k stages f does not
-    read.
+    They are the indices of the ones of f's truth table over every layout
+    stage, the table the dense engine of `accumulate` builds: cell i is the
+    assignment whose mask is i.
 
     Raises:
-        ResourceLimitError: if f reads more than 24 stages, or has more than
-            DEFAULT_MAX_EXPANSION_TERMS minterms; both are known before any
-            mask is built.
+        ResourceLimitError: if f is not empty and its layout holds more than
+            24 stages, or f has more than DEFAULT_MAX_EXPANSION_TERMS
+            minterms; the minterms are counted before any mask is built.
     """
     import numpy as np
 
+    if not f.terms:
+        return np.empty(0, np.int64)
     length = f.layout.total_length
-    support = f.support
-    k = support.bit_count()
-    if k > _DENSE_MAX_SUPPORT:
+    if length > _DENSE_MAX_SUPPORT:
         raise ResourceLimitError(
-            f"minterm expansion reads {k} variables, past the"
+            f"minterm expansion: the layout holds {length} stages, past the"
             f" {_DENSE_MAX_SUPPORT} it can take"
         )
-    bits = _stages(support)
-    ones = np.flatnonzero(_cells(_truth_table(list(f.terms), bits), k))
-    count = ones.size << (length - k)
-    if not count:
-        return np.empty(0, np.int64)
+    cells = _cells(_truth_table(list(f.terms), list(range(length))), length)
+    count = np.count_nonzero(cells)
     if count > DEFAULT_MAX_EXPANSION_TERMS:
         raise ResourceLimitError(
             f"minterm expansion has {count} minterms, above the"
             f" {DEFAULT_MAX_EXPANSION_TERMS} guard"
         )
-    # the guards leave k <= 24 read stages and 2**(L - k) <= 2**20 minterms
-    # for each one of the table: at most 44 stages, so int64 holds every mask
-    free = [b for b in range(length) if not support >> b & 1]
-    ones = _bit_sums(ones, [1 << b for b in bits], np.int64)
-    spread = _bit_sums(np.arange(1 << len(free)), [1 << b for b in free], np.int64)
-    masks = (ones[:, None] | spread).ravel()
-    masks.sort()
-    return masks
+    return np.flatnonzero(cells).astype(np.int64, copy=False)

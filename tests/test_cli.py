@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balancegate import errors, lfsr, minterms
+from balancegate import cli, errors, lfsr, minterms
 from balancegate.analyzer import analyze
 from balancegate.anf import AnfFunction, RegisterLayout, parse_function
 from balancegate.cli import main
@@ -358,6 +358,14 @@ class TestSimulateCommand:
             assert captured.err.splitlines()[-1] == (
                 f"error: {message}; set BALANCEGATE_MAX_PERIOD to raise it"
             )
+
+    def test_budget_variable_is_spelled_once(self):
+        # the library's refusal hint and the command line read one name
+        g = parse_spec(GEFFE_SPEC).instance()
+        with pytest.raises(errors.ResourceLimitError) as refusal:
+            lfsr.iter_output_chunks(g, 651, max_steps=100)
+        assert lfsr.ENV_MAX_PERIOD in refusal.value.hint
+        assert cli.ENV_MAX_PERIOD is lfsr.ENV_MAX_PERIOD
 
     @pytest.mark.parametrize("raw", ["zebra", "-5", "0"])
     def test_bad_budget_env(self, spec_file, capsys, monkeypatch, raw):

@@ -357,7 +357,7 @@ def engine_mixes(draw):
     """A function over a coprime layout or one register of 1..16 stages,
     its stages dealt into blocks that each hold either 1..3 masks (the
     fold's side of the engine switch) or enough masks for the dense engine:
-    at least k over k stages, and more than 1024 / 2**k."""
+    at least k over k stages, and more than _FOLD_MAX_STEPS / 2**k."""
     single = st.integers(1, 16).map(lambda n: (("m", n),))
     layout = RegisterLayout.from_lengths(
         draw(st.one_of(st.sampled_from(COPRIME_SHAPES), single))
@@ -883,7 +883,35 @@ class TestExpansion:
         assert minterm_expansion(f).tolist() == [1]
 
     def test_refuses_a_support_past_24_and_names_it(self):
-        # 2**5 minterms, but the truth table over 25 stages is not built
+        # 2**5 minterms, but the truth table over 30 stages is not built
         f = AnfFunction(RegisterLayout.single(30), frozenset({(1 << 25) - 1}))
-        with pytest.raises(ResourceLimitError, match="reads 25 variables"):
+        with pytest.raises(ResourceLimitError, match="layout holds 30 stages"):
             minterm_expansion(f)
+
+    @pytest.mark.parametrize(
+        "length, terms, size, ends",
+        [
+            (1, {0b1}, 1, (1, 1)),
+            # m0*m1*m2*m3: every mask with the low 4 bits set
+            (24, {0b1111}, 1 << 20, (15, (1 << 24) - 1)),
+            # 2**5 minterms, but the layout is past the widest table
+            (25, {(1 << 20) - 1}, None, None),
+            (128, set(), 0, None),
+        ],
+    )
+    def test_the_table_spans_the_layout(self, length, terms, size, ends):
+        f = AnfFunction(RegisterLayout.single(length), frozenset(terms))
+        if size is None:
+            with pytest.raises(ResourceLimitError) as refusal:
+                minterm_expansion(f)
+            assert refusal.value.exit_code == 4
+            return
+        masks = minterm_expansion(f)
+        assert masks.dtype == np.int64
+        assert masks.size == size
+        if size:
+            # a single monomial's minterms are the masks that hold it
+            (term,) = terms
+            assert np.all(masks & term == term)
+            assert np.all(np.diff(masks) > 0)
+            assert (masks[0], masks[-1]) == ends
