@@ -47,9 +47,9 @@ DEFAULT_MAX_EXPANSION_TERMS = 1 << 20
 # widest truth table the module builds, in stages: the dense engine's, over
 # a component's support, and the minterm expansion's, over the whole layout.
 # The table has 2**k cells, and the dense engine's coefficients stay within
-# 2**(k - 1) in magnitude, so int32 holds them; the transform climbs int8 ->
-# int16 -> int32, running each butterfly j in the narrowest type that holds
-# 2**j (see `_nonzero_cells`)
+# 2**(k - 1) in magnitude, so int32 holds them; the transform starts in int8
+# and widens to int16 and int32 only as far as its measured values can reach
+# (see `_transform`)
 _DENSE_MAX_SUPPORT = 24
 # fold entry-steps (n * 2**k, for n masks over k bits) up to which a
 # component folds although the dense rule takes it: the dense engine's fixed
@@ -268,12 +268,15 @@ def _dense_sum(
 
     The histogram comes from the packed truth table alone (see
     `_table_weights`); the sum's cells need the integer transform (see
-    `_nonzero_cells`).  Where max_entries can trip, the transform runs here:
-    the count of its nonzero cells is checked against the cap, and the cells
-    are kept for the builder.  With max_entries None no cap can trip, the
-    count is None, and the transform waits for the builder, that is, for a
-    caller that reads the sum.
+    `_transform`).  Where max_entries can trip, the transform runs here:
+    the count of its nonzero cells is checked against the cap, and the
+    transformed array is kept for the builder, which lists its cells only
+    when the sum is read.  With max_entries None no cap can trip, the count
+    is None, and the transform waits for the builder, that is, for a caller
+    that reads the sum.
     """
+    import numpy as np
+
     # the register with the most support stages takes the lowest index
     # bits, so that a word's 64 cells fall into few weight classes
     spans = [
@@ -285,41 +288,72 @@ def _dense_sum(
     weights = _table_weights(table, bits, layout)
     if max_entries is None:
         return weights, None, partial(_cell_sum, bits, table)
-    cells = _nonzero_cells(table, len(bits))
-    _check_cap(cells[0].size, max_entries)
-    return weights, cells[0].size, partial(_cell_sum, bits, table, cells)
+    coeffs = _transform(table, len(bits))
+    count = np.count_nonzero(coeffs)
+    _check_cap(count, max_entries)
+    return weights, count, partial(_cell_sum, bits, table, coeffs)
 
 
-def _nonzero_cells(table, k: int):
-    """The indices and values of the nonzero cells of the integer Moebius
-    transform of a packed truth table over k bits.
+def _transform(table, k: int):
+    """The integer Moebius transform of a packed truth table over k bits:
+    the 2**k coefficients of the integer normal form, where coefficient S is
+    the sum of (-1)**(|S| - |T|) * f(T) over the subsets T of S.
 
-    k integer butterflies turn the truth table into the coefficients of the
-    integer normal form: coefficient S is the sum of (-1)**(|S| - |T|) * f(T)
-    over the subsets T of S.  They run in place on the unpacked cells, read
-    as int8.  After j butterflies every magnitude is at most 2**(j - 1), so
-    butterfly j needs a type that holds 2**j: the buffer widens to int16
-    just before butterfly 7 and to int32 just before butterfly 15, and int32
+    Butterflies 0-2 come from one gather over the table's bytes (see
+    `_byte_transforms`), cut to 2**k cells; a butterfly j >= k leaves every
+    cell below 2**k as it is, so that holds for k < 3 too.  The other
+    butterflies run in place, starting in int8.  After j butterflies every
+    magnitude is at most 2**(j - 1), so the type holds butterfly j while it
+    holds 2**j.  Past that, each butterfly at most doubles the largest
+    magnitude m, so if m * 2**(k - j) fits the type, every later butterfly
+    runs in it; otherwise the array widens to the next type, and int32
     holds the 2**23 of 24 support bits.
     """
     import numpy as np
 
-    coeffs = _cells(table, k).view(np.int8)
-    for j in range(k):
-        if 1 << j > np.iinfo(coeffs.dtype).max:
-            coeffs = coeffs.astype(f"i{2 * coeffs.itemsize}")
+    coeffs = _byte_transforms()[table.astype("<u8", copy=False).view(np.uint8)]
+    coeffs = coeffs.view(np.int8)[: 1 << k]
+    settled = False
+    for j in range(3, k):
+        top = int(np.iinfo(coeffs.dtype).max)
+        if not settled and 1 << j > top:
+            peak = max(int(coeffs.max()), -int(coeffs.min()))
+            settled = peak << (k - j) <= top
+            if not settled:
+                coeffs = coeffs.astype(f"i{2 * coeffs.itemsize}")
         _butterfly(coeffs, j, np.subtract)
-    indices = np.flatnonzero(coeffs)
-    return indices, coeffs[indices]
+    return coeffs
 
 
-def _cell_sum(bits: list[int], table, cells=None) -> dict[int, int]:
+@lru_cache(maxsize=None)
+def _byte_transforms():
+    """For each byte value v, the uint64 word whose 8 bytes are the int8
+    cells of v, read little-endian as `_cells` reads it, after butterflies
+    0-2 of the integer transform."""
+    import numpy as np
+
+    cells = np.unpackbits(np.arange(256, dtype=np.uint8), bitorder="little")
+    cells = cells.view(np.int8)
+    for j in range(3):
+        _butterfly(cells, j, np.subtract)
+    words = cells.view(np.uint64)
+    # every caller shares the cached array
+    words.flags.writeable = False
+    return words
+
+
+def _cell_sum(bits: list[int], table, coeffs=None) -> dict[int, int]:
     """The signed sum of the transform's nonzero cells, over the stages bits:
     bit j of a cell's index stands for stage bits[j].  The transform runs
-    here unless cells holds its result."""
-    indices, values = cells or _nonzero_cells(table, len(bits))
+    here unless coeffs holds its result; the cells are listed here in any
+    case, since only a reader of the sum needs them."""
+    import numpy as np
+
+    if coeffs is None:
+        coeffs = _transform(table, len(bits))
+    indices = np.flatnonzero(coeffs)
     masks = _bit_sums(indices, [1 << b for b in bits]).tolist()
-    return dict(zip(masks, values.tolist()))
+    return dict(zip(masks, coeffs[indices].tolist()))
 
 
 def _table_weights(table, bits: list[int], layout: RegisterLayout):
@@ -524,12 +558,16 @@ def exact_ones_multi(
     period = layout.period()
     if weights.get((0,) * len(layout.registers)):
         raise InternalCheckError("zero mask in a final signed sum")
+    # each register's factor for every weight d, read by index
+    factors = [
+        [(1 << n) - 1] + [1 << (n - d) for d in range(1, n + 1)]
+        for n in (reg.length for reg in layout.registers)
+    ]
     total = 0
     for key, coeff in weights.items():
-        factor = 1
-        for reg, d in zip(layout.registers, key):
-            factor *= (1 << (reg.length - d)) if d else ((1 << reg.length) - 1)
-        total += coeff * factor
+        for per_weight, d in zip(factors, key):
+            coeff *= per_weight[d]
+        total += coeff
     if not 0 <= total <= period:
         raise InternalCheckError(
             f"ones count {total} outside [0, {period}]; signed sum is inconsistent"
@@ -547,7 +585,8 @@ def minterm_expansion(f: AnfFunction) -> np.ndarray:
     Raises:
         ResourceLimitError: if f is not empty and its layout holds more than
             24 stages, or f has more than DEFAULT_MAX_EXPANSION_TERMS
-            minterms; the minterms are counted before any mask is built.
+            minterms; the minterms are counted on the packed table, before
+            its cells are unpacked or any mask is built.
     """
     import numpy as np
 
@@ -559,11 +598,12 @@ def minterm_expansion(f: AnfFunction) -> np.ndarray:
             f"minterm expansion: the layout holds {length} stages, past the"
             f" {_DENSE_MAX_SUPPORT} it can take"
         )
-    cells = _cells(_truth_table(list(f.terms), list(range(length))), length)
-    count = np.count_nonzero(cells)
+    table = _truth_table(list(f.terms), list(range(length)))
+    # counted on the packed words, so a refusal never unpacks the cells
+    count = int.from_bytes(table.tobytes(), "little").bit_count()
     if count > DEFAULT_MAX_EXPANSION_TERMS:
         raise ResourceLimitError(
             f"minterm expansion has {count} minterms, above the"
             f" {DEFAULT_MAX_EXPANSION_TERMS} guard"
         )
-    return np.flatnonzero(cells).astype(np.int64, copy=False)
+    return np.flatnonzero(_cells(table, length)).astype(np.int64, copy=False)

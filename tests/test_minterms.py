@@ -282,6 +282,35 @@ def packed_tables(draw):
     return minterms._truth_table(masks, bits), bits, layout
 
 
+def packed(cells: int, k: int):
+    """The packed table of 2**k cells whose cell i is bit i of cells."""
+    words = cells.to_bytes(8 * max(1 << k >> 6, 1), "little")
+    return np.frombuffer(words, "<u8").astype(np.uint64)
+
+
+@st.composite
+def cell_tables(draw):
+    """(table, k): a packed table of 2**k cells, k <= 14: any cells; a few
+    ones, whose coefficients stay small enough for the transform to settle
+    in int8 or int16; or the parity of the index bits in sel, most often
+    all of them, or its complement, whose coefficients on S reach
+    -+(-2)**(|S| - 1), the widest magnitudes a transform holds."""
+    k = draw(st.integers(0, 14))
+    size = 1 << k
+    kind = draw(st.sampled_from(["any", "few", "parity"]))
+    if kind == "any":
+        cells = draw(st.integers(0, (1 << size) - 1))
+    elif kind == "few":
+        cells = sum(1 << c for c in draw(st.sets(st.integers(0, size - 1), max_size=4)))
+    else:
+        sel = draw(st.one_of(st.just(size - 1), st.integers(0, size - 1)))
+        flip = draw(st.integers(0, 1))
+        cells = sum(
+            1 << i for i in range(size) if (i & sel).bit_count() & 1 ^ flip
+        )
+    return packed(cells, k), k
+
+
 @st.composite
 def mask_lists(draw):
     """(width, masks) drawn from a small pool, so duplicates are common."""
@@ -445,6 +474,95 @@ class TestEngines:
         for j in range(table.size.bit_length() - 1):
             minterms._butterfly(table, j, op)
         assert table.tolist() == subset_transform(cells, op is np.subtract)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_tables())
+    @example((packed(1, 0), 0))
+    @example((packed(0b0110, 2), 2))
+    # 1 ^ the parity of 8 bits: +128 on the full mask, from its last butterfly
+    @example((packed(sum(1 << i for i in range(256) if i.bit_count() % 2 == 0), 8), 8))
+    def test_transform_is_the_int64_butterflies(self, case):
+        table, k = case
+        expected = minterms._cells(table, k).astype(np.int64)
+        for j in range(k):
+            minterms._butterfly(expected, j, np.subtract)
+        assert minterms._transform(table, k).tolist() == expected.tolist()
+
+    def test_byte_lookup_holds_the_first_three_butterflies(self):
+        words = minterms._byte_transforms()
+        assert words.size == 256
+        assert words.view(np.int8).reshape(256, 8).tolist() == [
+            subset_transform([v >> i & 1 for i in range(8)], True) for v in range(256)
+        ]
+
+    @pytest.mark.parametrize(
+        "masks, k, entries, widened",
+        [
+            # the parity of m0..m7 reaches 2**7, past int8, on m0*..*m7
+            ([1 << i for i in range(8)], 8, 255, {3: "int8", 7: "int16"}),
+            # the parity of m0..m15 reaches 2**15, past int16
+            (
+                [1 << i for i in range(16)],
+                16,
+                (1 << 16) - 1,
+                {3: "int8", 7: "int16", 15: "int32"},
+            ),
+            # m0*..*m14 * (1 ^ m15)*..*(1 ^ m19), one cell of 20 support
+            # bits, as its 32 monomials: every coefficient is +-1, so the
+            # magnitude 1 measured before butterfly 15 keeps int16 to the end
+            (
+                [(1 << 15) - 1 | s << 15 for s in range(32)],
+                20,
+                32,
+                {3: "int8", 7: "int16"},
+            ),
+        ],
+        ids=["parity-8", "parity-16", "one-cell-20"],
+    )
+    def test_transform_widens_by_measured_magnitude(
+        self, monkeypatch, masks, k, entries, widened
+    ):
+        # the type of every subtracting butterfly past the byte lookup, which
+        # is built before the recording starts
+        minterms._byte_transforms()
+        butterfly = minterms._butterfly
+        subtractions = []
+
+        def recording(table, j, op):
+            if op is np.subtract:
+                subtractions.append((j, table.dtype.name))
+            butterfly(table, j, op)
+
+        monkeypatch.setattr(minterms, "_butterfly", recording)
+        layout = RegisterLayout.single(k)
+        _, count, build = minterms._dense_sum(
+            masks, support_of(masks), 1 << k, layout
+        )
+        expected = []
+        dtype = None
+        for j in range(3, k):
+            dtype = widened.get(j, dtype)
+            expected.append((j, dtype))
+        assert subtractions == expected
+        assert count == len(build()) == entries
+
+    def test_cap_check_lists_no_cells_until_the_sum_is_read(self, monkeypatch):
+        # MIXED's dense component under a cap that can trip: the count is
+        # checked on the transformed array, whose cells wait for a reader
+        cell_sum = minterms._cell_sum
+        calls = []
+
+        def recording(bits, table, coeffs=None):
+            calls.append(coeffs is not None)
+            return cell_sum(bits, table, coeffs)
+
+        monkeypatch.setattr(minterms, "_cell_sum", recording)
+        full = (1 << 13) - 1
+        report = analyze(MIXED, max_sum_entries=full - 1)
+        assert report.ones == count_ones_truthtable(MIXED)
+        assert calls == []
+        assert report.final_sum == minterms._fold_sum(sorted(MIXED.terms), full)
+        assert calls == [True]
 
     @settings(max_examples=300, deadline=None)
     @given(packed_tables())
@@ -642,7 +760,9 @@ class TestFinalSumOnRead:
         self, monkeypatch
     ):
         # MIXED reads 13 stages, and its one dense component m0*m_i ^ m_i,
-        # i = 1..7, 8; every sum the engine holds fits a cap of 2**13 - 1
+        # i = 1..7, 8; every sum the engine holds fits a cap of 2**13 - 1.
+        # Butterflies 0-2 come from the byte lookup, built once per process
+        minterms._byte_transforms()
         butterfly = minterms._butterfly
         subtractions = []
 
@@ -657,13 +777,13 @@ class TestFinalSumOnRead:
         loose = analyze(MIXED, max_sum_entries=full)
         assert subtractions == []
         loose_sum = loose.final_sum
-        assert subtractions == list(range(8))
+        assert subtractions == list(range(3, 8))
         subtractions.clear()
         tight = analyze(MIXED, max_sum_entries=full - 1)
-        assert subtractions == list(range(8))
+        assert subtractions == list(range(3, 8))
         assert tight.final_sum == loose_sum and tight.ones == loose.ones
         # the cells the cap check made serve the read
-        assert subtractions == list(range(8))
+        assert subtractions == list(range(3, 8))
         assert loose_sum == minterms._fold_sum(sorted(MIXED.terms), full)
 
     def test_count_verdict_and_findings_need_no_final_sum(self, monkeypatch):
@@ -887,6 +1007,20 @@ class TestExpansion:
         f = AnfFunction(RegisterLayout.single(30), frozenset({(1 << 25) - 1}))
         with pytest.raises(ResourceLimitError, match="layout holds 30 stages"):
             minterm_expansion(f)
+
+    def test_refusal_unpacks_no_cells(self, monkeypatch):
+        # m0 over 24 stages has 2**23 minterms, counted on the packed table
+        # with no bitwise_count, which numpy 1.24 lacks
+        def refuse(*args):
+            raise AssertionError("cells unpacked")
+
+        monkeypatch.setattr(minterms, "_cells", refuse)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        f = AnfFunction(RegisterLayout.single(24), frozenset({1}))
+        with pytest.raises(ResourceLimitError) as refusal:
+            minterm_expansion(f)
+        assert refusal.value.exit_code == 4
+        assert f"has {1 << 23} minterms," in str(refusal.value)
 
     @pytest.mark.parametrize(
         "length, terms, size, ends",
