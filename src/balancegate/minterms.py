@@ -18,7 +18,8 @@ table or from the entries of a folded part, and combines the histograms,
 not the parts: the combination itself is multiplied out only for a caller
 that shows it, by the function `accumulate` returns with the histogram, and
 a part's integer Moebius transform runs only for such a caller or where an
-entry cap could trip.
+entry cap could trip, that is, where the cap is below a bound on the number
+of unions of f's terms, the masks every sum is made of (see `_union_bound`).
 """
 
 from __future__ import annotations
@@ -90,9 +91,16 @@ def accumulate(
     cap, and once more after the last, so every sum the returned function
     builds stays within the cap.  The histograms combine by the same XOR
     step, with weights added where masks are joined, since disjoint
-    components' weights add.  Every sum the engine holds is a set of
-    distinct nonzero masks over f's support, so where max_entries is at
-    least 2**|support| - 1 no check can trip, and none is made.
+    components' weights add.
+
+    Every mask of every sum the engine holds is a union of f's terms: the
+    fold's running sums, a dense part's cells (its integer normal form is
+    the sum over sets T of terms of (-2)**(|T| - 1) times the mask of their
+    union) and the products of the parts.  So where max_entries is at least
+    the number of such unions no check can trip, and none is made.  That
+    number is bounded by 2**|support| - 1 and, where the cap is below that,
+    by the sharper bound of `_union_bound`; the bound is worked out only
+    where it can clear the cap.
 
     A component with k support bits and n masks takes one of two engines.
     The dense engine works from the truth table over the k support
@@ -100,18 +108,26 @@ def accumulate(
     unless the fold's bound n * 2**k is at most 1536 entry-steps.  It reads
     its histogram off the table's popcounts; the integer Moebius transform
     that gives its part of the sum (k * 2**k entry-steps) runs only where a
-    cap check is made, or once the sum is read.  The fold, which adds one
-    mask at a time (at most n * 2**min(n, k) entry-steps), runs otherwise,
-    and its histogram is summed over its own entries.
+    cap check is made, or once the sum is read: a caller that reads only the
+    histogram, as the count does, pays no transform where the bound clears
+    the cap, and a reader of the sum pays it when it reads.  The fold, which
+    adds one mask at a time (at most n * 2**min(n, k) entry-steps), runs
+    otherwise, and its histogram is summed over its own entries.
 
     Raises:
         ResourceLimitError: if any signed sum the engine holds would pass
             max_entries: the fold's running sum after every mask, the dense
             engine's final sum, or the product of the component sums.
     """
-    # every sum the engine can hold is a set of distinct nonzero masks over
-    # f's support, so where the cap has room for all of them none can trip
-    cap = None if (1 << f.support.bit_count()) - 1 <= max_entries else max_entries
+    # every sum the engine can hold is a set of distinct unions of f's terms;
+    # where the cap has room for all of them, none can trip.  There are at
+    # most 2**k - 1 of them, and the sharper bound is at least 2**(k - 1) - 1
+    k = f.support.bit_count()
+    full = (1 << k) - 1
+    fits = full <= max_entries or (
+        full >> 1 <= max_entries and _union_bound(f.terms, k) <= max_entries
+    )
+    cap = None if fits else max_entries
     histograms = []
     builds = []
     count = 1
@@ -125,6 +141,44 @@ def accumulate(
             count *= 1 + entries
     _check_cap(count - 1, cap)
     return _xor_product(histograms, _add_weights), partial(_multiply_out, builds)
+
+
+def _union_bound(masks, k: int) -> int:
+    """An upper bound on the number of distinct nonempty unions of masks,
+    distinct nonzero masks over k support bits in all.
+
+    Take a stage v, held by the masks m_1 .. m_t, and let a_i = |m_i| - 1.
+    A union that holds v holds some m_i whole, so a set S that holds v but
+    no m_i is no union.  Over the 2**(k - 1) sets S - v of the other
+    stages, the events "S - v misses a stage of m_i - v" are decreasing, so
+    by Harris's inequality (Harris 1960) they hold together on at least
+    2**(k - 1) * prod_i (1 - 2**-a_i) of those sets; their number is an
+    integer, so at least the ceiling Z_v of that.  A stage that is itself a
+    mask has the factor 1 - 2**0 = 0.  So at most 2**k - 1 - max_v Z_v
+    unions exist; since Z_v <= 2**(k - 1), the bound is never below
+    2**(k - 1) - 1.
+
+    One pass over the masks counts each stage's masks by a_i; Z_v is then
+    exact in integers: prod_i (2**a_i - 1), shifted by k - 1 - sum_i a_i.
+    Only the largest Z_v is worked out, so no other number grows with k.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for mask in masks:
+        a = mask.bit_count() - 1
+        for stage in _stages(mask):
+            counts[stage, a] = counts.get((stage, a), 0) + 1
+    products: dict[int, int] = {}
+    shifts: dict[int, int] = {}
+    for (stage, a), count in counts.items():
+        products[stage] = products.get(stage, 1) * ((1 << a) - 1) ** count
+        shifts[stage] = shifts.get(stage, 0) + a * count
+    # the stage with the largest product / 2**shift, compared crosswise, and
+    # its Z_v: the ceiling of its product times 2**(k - 1 - shift)
+    top, shift = 0, 0
+    for stage, product in products.items():
+        if product << shift > top << shifts[stage]:
+            top, shift = product, shifts[stage]
+    return (1 << k) - 1 - (-(-top << (k - 1) >> shift) if top else 0)
 
 
 def _multiply_out(builds: list) -> dict[int, int]:
@@ -273,7 +327,8 @@ def _dense_sum(
     transformed array is kept for the builder, which lists its cells only
     when the sum is read.  With max_entries None no cap can trip, the count
     is None, and the transform waits for the builder, that is, for a caller
-    that reads the sum.
+    that reads the sum.  `accumulate` passes None wherever its bound on the
+    unions of f's terms fits the cap.
     """
     import numpy as np
 
@@ -558,16 +613,18 @@ def exact_ones_multi(
     period = layout.period()
     if weights.get((0,) * len(layout.registers)):
         raise InternalCheckError("zero mask in a final signed sum")
-    # each register's factor for every weight d, read by index
-    factors = [
-        [(1 << n) - 1] + [1 << (n - d) for d in range(1, n + 1)]
-        for n in (reg.length for reg in layout.registers)
-    ]
+    # each register's length and its factor at weight 0
+    registers = [(reg.length, (1 << reg.length) - 1) for reg in layout.registers]
     total = 0
     for key, coeff in weights.items():
-        for per_weight, d in zip(factors, key):
-            coeff *= per_weight[d]
-        total += coeff
+        # the factors of the registers with d >= 1 make one power of two
+        shift = 0
+        for (n, whole), d in zip(registers, key):
+            if d:
+                shift += n - d
+            else:
+                coeff *= whole
+        total += coeff << shift
     if not 0 <= total <= period:
         raise InternalCheckError(
             f"ones count {total} outside [0, {period}]; signed sum is inconsistent"

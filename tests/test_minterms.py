@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,10 @@ MIXED = AnfFunction(
         + [0b11 << 8, 1 << 9, 1 << 11, 0b11 << 12]
     ),
 )
+
+# the bound on the unions of MIXED's terms: 2**13 - 1, less the 2**11 sets
+# that hold c1 but not c2, whose only holder is c1*c2
+MIXED_BOUND = (1 << 13) - 1 - (1 << 11)
 
 
 def fold(masks):
@@ -547,8 +552,9 @@ class TestEngines:
         assert count == len(build()) == entries
 
     def test_cap_check_lists_no_cells_until_the_sum_is_read(self, monkeypatch):
-        # MIXED's dense component under a cap that can trip: the count is
-        # checked on the transformed array, whose cells wait for a reader
+        # MIXED's dense component under a cap that can trip, one below the
+        # bound on its unions, yet above its 3,059 final entries: the count
+        # is checked on the transformed array, whose cells wait for a reader
         cell_sum = minterms._cell_sum
         calls = []
 
@@ -558,7 +564,7 @@ class TestEngines:
 
         monkeypatch.setattr(minterms, "_cell_sum", recording)
         full = (1 << 13) - 1
-        report = analyze(MIXED, max_sum_entries=full - 1)
+        report = analyze(MIXED, max_sum_entries=MIXED_BOUND - 1)
         assert report.ones == count_ones_truthtable(MIXED)
         assert calls == []
         assert report.final_sum == minterms._fold_sum(sorted(MIXED.terms), full)
@@ -760,7 +766,8 @@ class TestFinalSumOnRead:
         self, monkeypatch
     ):
         # MIXED reads 13 stages, and its one dense component m0*m_i ^ m_i,
-        # i = 1..7, 8; every sum the engine holds fits a cap of 2**13 - 1.
+        # i = 1..7, 8; every sum the engine holds fits a cap of MIXED_BOUND,
+        # the bound on its unions, and one less can trip, though none does.
         # Butterflies 0-2 come from the byte lookup, built once per process
         minterms._byte_transforms()
         butterfly = minterms._butterfly
@@ -774,12 +781,13 @@ class TestFinalSumOnRead:
         monkeypatch.setattr(minterms, "_butterfly", recording)
         full = (1 << MIXED.support.bit_count()) - 1
         assert full == (1 << 13) - 1
-        loose = analyze(MIXED, max_sum_entries=full)
+        loose = analyze(MIXED, max_sum_entries=MIXED_BOUND)
         assert subtractions == []
         loose_sum = loose.final_sum
         assert subtractions == list(range(3, 8))
+        assert len(loose_sum) < MIXED_BOUND - 1
         subtractions.clear()
-        tight = analyze(MIXED, max_sum_entries=full - 1)
+        tight = analyze(MIXED, max_sum_entries=MIXED_BOUND - 1)
         assert subtractions == list(range(3, 8))
         assert tight.final_sum == loose_sum and tight.ones == loose.ones
         # the cells the cap check made serve the read
@@ -833,6 +841,121 @@ class TestFinalSumOnRead:
         cap = 1 << f.layout.total_length
         assert report.final_sum == minterms._fold_sum(sorted(f.terms), cap)
         assert per_entry_ones(report.final_sum, f.layout) == report.ones
+
+
+@st.composite
+def low_degree_functions(draw):
+    """A function over one register of 1..12 stages whose masks hold 1..4
+    stages each, so that many stages are no mask of their own."""
+    width = draw(st.integers(1, 12))
+    stages = st.sets(st.integers(0, width - 1), min_size=1, max_size=4)
+    masks = draw(st.sets(stages.map(lambda s: sum(1 << i for i in s)), max_size=36))
+    return function_of(sorted(masks), width)
+
+
+def union_functions():
+    """Functions of at most 12 stages: low-degree ones, and the distinct
+    nonzero masks of a mask_lists draw."""
+    pooled = mask_lists().map(
+        lambda case: function_of(sorted(set(case[1]) - {0}), case[0])
+    )
+    return st.one_of(low_degree_functions(), pooled)
+
+
+def unions(masks) -> set[int]:
+    """Every distinct nonempty union of masks, by brute force."""
+    found: set[int] = set()
+    for mask in masks:
+        found |= {union | mask for union in found} | {mask}
+    return found
+
+
+class TestUnionBound:
+    """Every mask of every sum the engine holds is a union of f's terms, and
+    `accumulate` makes no cap check where a bound on their number fits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(union_functions())
+    @example(MIXED)
+    @example(function_of([], 3))
+    def test_bound_lies_between_the_unions_and_all_sets(self, f):
+        k = f.support.bit_count()
+        bound = minterms._union_bound(f.terms, k)
+        assert len(unions(f.terms)) <= bound <= (1 << k) - 1
+        # the floor `accumulate` relies on to skip the bound
+        assert (1 << k) - 1 >> 1 <= bound
+
+    def test_bound_of_a_worked_example(self):
+        # stages 1..4 are masks of their own, and stage 0 is held by masks of
+        # sizes 2, 3 and 3: at least ceil(2**4 * 1/2 * 3/4 * 3/4) = 5 of the
+        # sets that hold it are no union; here exactly 5 are not, so the
+        # bound is the number of unions
+        masks = [0b00011, 0b01101, 0b10101] + [1 << i for i in range(1, 5)]
+        assert minterms._union_bound(masks, 5) == 31 - 5 == len(unions(masks))
+        assert minterms._union_bound(MIXED.terms, 13) == MIXED_BOUND
+        # a stage that is itself a mask rules out nothing, as in a linear
+        # function, whose every nonempty set is a union
+        linear = [1 << i for i in range(6)]
+        assert minterms._union_bound(linear, 6) == len(unions(linear)) == 63
+
+    @settings(max_examples=200, deadline=None)
+    @given(union_functions(), st.integers(0, 1 << 12))
+    @example(MIXED, 0)
+    def test_no_sum_passes_a_cap_at_or_above_the_bound(self, f, slack):
+        cap = minterms._union_bound(f.terms, f.support.bit_count()) + slack
+        found = unions(f.terms)
+        product = 1
+        for group in minterms._components(sorted(f.terms)):
+            # the fold's running sums, after every mask
+            folded: dict[int, int] = {}
+            for mask in group:
+                minterms._xor_into(folded, {mask: 1})
+                assert len(folded) <= cap and folded.keys() <= found
+            # the dense engine's part, checked against the cap as it is built
+            _, count, build = minterms._dense_sum(
+                group, support_of(group), cap, f.layout
+            )
+            assert build() == folded and count == len(folded)
+            product *= 1 + len(folded)
+        assert product - 1 <= cap
+        weights, build_sum = accumulate(f, max_entries=cap)
+        final_sum = build_sum()
+        assert len(final_sum) == product - 1 and final_sum.keys() <= found
+        assert (final_sum, weights) == summed(f)
+
+    def test_bound_takes_linear_time_on_a_wide_layout(self):
+        # a few thousand monomials of 1..4 stages over a 9,973-stage register:
+        # eight times the monomials take about eight times as long, where
+        # work growing with the square would take 64 times
+        rng = random.Random(9973)
+        width = 9973
+        masks = list(
+            {
+                sum(1 << s for s in rng.sample(range(width), rng.randint(1, 4)))
+                for _ in range(4000)
+            }
+        )
+        k = support_of(masks).bit_count()
+
+        def best(count):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                minterms._union_bound(masks[:count], k)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        small, large = best(500), best(4000)
+        assert large < 1 and large < 24 * small
+        # and the refusal at a small cap is the one the plain check gave
+        f = function_of(sorted(masks), width)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as info:
+            analyze(f, max_sum_entries=2)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            "signed sum has 3 entries, past the cap of 2; raise the cap to continue"
+        )
 
 
 class TestExactOnes:
