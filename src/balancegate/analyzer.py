@@ -100,9 +100,10 @@ class RuleFinding:
 class AnalysisReport:
     """Everything the exact analysis produced, as plain data.
 
-    The count comes from the weight histogram alone; `final_sum` is
-    multiplied out by the function `accumulate` returned with it, once, on
-    first read, and within the entry cap `analyze` was given.
+    The count comes from `accumulate`, which needs neither the weight
+    histogram nor the sum built; `final_sum` is multiplied out by the
+    function `accumulate` returned with the count, once, on first read, and
+    within the entry cap `analyze` was given.
     """
 
     layout: RegisterLayout
@@ -295,8 +296,7 @@ def analyze(
     policy = policy or VerdictPolicy()
     layout = f.layout
     period = layout.period()
-    weights, build_sum = accumulate(f, max_entries=max_sum_entries)
-    ones = exact_ones_multi(weights, layout)
+    ones, _, build_sum = accumulate(f, max_entries=max_sum_entries)
     return AnalysisReport(
         layout=layout,
         function_text=f.to_text(),

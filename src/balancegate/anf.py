@@ -217,12 +217,15 @@ class AnfFunction:
         """
         if not self.terms:
             return "0"
+        # the names of the set bits of the support only, so the work grows
+        # with the variables read, not with the layout's width
+        names = {}
         support = self.support
-        names = {
-            b: self.layout.variable_name(b)
-            for b in range(support.bit_length())
-            if support >> b & 1
-        }
+        while support:
+            low = support & -support
+            b = low.bit_length() - 1
+            names[b] = self.layout.variable_name(b)
+            support ^= low
         monomials = []
         for mask in sorted(self.terms, reverse=True):
             # the set bits of mask, highest first

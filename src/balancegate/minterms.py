@@ -12,14 +12,20 @@ lists the minterms (see `minterm_expansion`).
 A minterm's share of the ones count depends only on how many stages its
 mask holds in each register, the weight tuple `RegisterLayout.weights`
 gives, so the count reads the combination's weight histogram, keyed by
-those tuples, not its entries (see `exact_ones_multi`).  The engine builds
-that histogram part by part, from the popcounts of a part's packed truth
-table or from the entries of a folded part, and combines the histograms,
-not the parts: the combination itself is multiplied out only for a caller
-that shows it, by the function `accumulate` returns with the histogram, and
-a part's integer Moebius transform runs only for such a caller or where an
-entry cap could trip, that is, where the cap is below a bound on the number
-of unions of f's terms, the masks every sum is made of (see `_union_bound`).
+those tuples, not its entries (see `exact_ones_multi`).  The engine
+reduces each part to its biases: one value per set of registers its masks
+touch, from which the part's bias, the mean of (-1)**g with any set of
+registers held at 0, follows.  A dense part sums them over the histogram
+it reads off the popcounts of its packed truth table, a folded part over
+its own entries.  Parts on disjoint variables are independent, so their biases
+multiply (the piling-up lemma), and the count follows from the product by
+inclusion and exclusion over the registers held at 0 (see `_ones`).
+Neither the combined histogram nor the combination itself is multiplied
+out unless a caller asks for it, by the functions `accumulate` returns with
+the count, and a part's integer Moebius transform runs only for a caller
+that reads the combination or where an entry cap could trip, that is,
+where the cap is below a bound on the number of unions of f's terms, the
+masks every sum is made of (see `_union_bound`).
 """
 
 from __future__ import annotations
@@ -67,9 +73,12 @@ _BUTTERFLY_ACROSS_BYTES = 32
 
 def accumulate(
     f: AnfFunction, *, max_entries: int = DEFAULT_MAX_SUM_ENTRIES
-) -> tuple[dict[tuple[int, ...], int], Callable[[], dict[int, int]]]:
-    """The weight histogram of the signed sum describing f's monomials, and
-    a function of no arguments that multiplies that sum out.
+) -> tuple[
+    int, Callable[[], dict[tuple[int, ...], int]], Callable[[], dict[int, int]]
+]:
+    """The ones count of f per joint period, and two functions of no
+    arguments: one builds the weight histogram of the signed sum describing
+    f's monomials, the other multiplies that sum out.
 
     The histogram maps each tuple of per-register weights (d_1 .. d_R), the
     number of stages a mask holds in each register, to the sum of the
@@ -82,13 +91,23 @@ def accumulate(
     masks are f's terms, so none is 0 and each fits the layout.  It is left
     unbuilt: the masks split into variable-disjoint components, each
     component's engine leaves its part of the sum as it ended, and each call
-    of the returned function multiplies the parts out into a new dict.
+    of the third function multiplies the parts out into a new dict.  The
+    histogram is left unbuilt the same way, each component's kept as its
+    engine ended it, and each call of the second function combines them.
+
+    The count needs neither.  Each component reduces its histogram to its
+    biases, at most one value per set of registers its masks touch (see
+    `_biases`), and the biases of disjoint components multiply, as in the
+    piling-up lemma (see `_bias_product`); the count is read off the
+    product (see `_ones`).  Its checks are those of `exact_ones_multi`: the
+    layout's lengths must be pairwise coprime, and the count must lie in
+    [0, period].
 
     Unions of masks from disjoint components never collide, so the XOR
     g + h - 2*g*h of component sums of e_1 .. e_c entries multiplies out to
     prod(1 + e_i) - 1 entries.  That count is checked against max_entries
     before each component is built, so building stops once it passes the
-    cap, and once more after the last, so every sum the returned function
+    cap, and once more after the last, so every sum the third function
     builds stays within the cap.  The histograms combine by the same XOR
     step, with weights added where masks are joined, since disjoint
     components' weights add.
@@ -106,18 +125,21 @@ def accumulate(
     The dense engine works from the truth table over the k support
     variables, packed 64 cells to a word, and runs when k <= 24 and n >= k,
     unless the fold's bound n * 2**k is at most 1536 entry-steps.  It reads
-    its histogram off the table's popcounts; the integer Moebius transform
-    that gives its part of the sum (k * 2**k entry-steps) runs only where a
-    cap check is made, or once the sum is read: a caller that reads only the
-    histogram, as the count does, pays no transform where the bound clears
-    the cap, and a reader of the sum pays it when it reads.  The fold, which
-    adds one mask at a time (at most n * 2**min(n, k) entry-steps), runs
-    otherwise, and its histogram is summed over its own entries.
+    its histogram off the table's popcounts, as an int64 array, and its
+    biases off that array; the integer Moebius transform that gives its
+    part of the sum (k * 2**k entry-steps) runs only where a cap check is
+    made, or once the sum is read: a caller that reads only the count pays
+    no transform where the bound clears the cap, and a reader of the sum
+    pays it when it reads.  The fold, which adds one mask at a time (at
+    most n * 2**min(n, k) entry-steps), runs otherwise, and its biases are
+    summed over its own entries.
 
     Raises:
         ResourceLimitError: if any signed sum the engine holds would pass
             max_entries: the fold's running sum after every mask, the dense
             engine's final sum, or the product of the component sums.
+        ValidationError: if the register lengths are not pairwise coprime.
+        InternalCheckError: if the count comes out inconsistent.
     """
     # every sum the engine can hold is a set of distinct unions of f's terms;
     # where the cap has room for all of them, none can trip.  There are at
@@ -128,19 +150,25 @@ def accumulate(
         full >> 1 <= max_entries and _union_bound(f.terms, k) <= max_entries
     )
     cap = None if fits else max_entries
-    histograms = []
+    biases = []
+    weighs = []
     builds = []
     count = 1
     for group in _components(sorted(f.terms)):
         # a partial product's count never exceeds the final one
         _check_cap(count - 1, cap, "at least ")
-        weights, entries, build = _component_sum(group, cap, f.layout)
-        histograms.append(weights)
+        bias, entries, weigh, build = _component_sum(group, cap, f.layout)
+        biases.append(bias)
+        weighs.append(weigh)
         builds.append(build)
         if cap is not None:
             count *= 1 + entries
     _check_cap(count - 1, cap)
-    return _xor_product(histograms, _add_weights), partial(_multiply_out, builds)
+    return (
+        _ones(_bias_product(biases), k, f.layout),
+        partial(_multiply_out, weighs, _add_weights),
+        partial(_multiply_out, builds),
+    )
 
 
 def _union_bound(masks, k: int) -> int:
@@ -181,9 +209,11 @@ def _union_bound(masks, k: int) -> int:
     return (1 << k) - 1 - (-(-top << (k - 1) >> shift) if top else 0)
 
 
-def _multiply_out(builds: list) -> dict[int, int]:
-    """A new dict of the signed sum whose component sums the builds make."""
-    return _xor_product([build() for build in builds])
+def _multiply_out(builds: list, join=or_) -> dict:
+    """A new dict of the signed sum whose component sums the builds make;
+    with join=_add_weights, of the weight histogram whose component
+    histograms they make."""
+    return _xor_product([build() for build in builds], join)
 
 
 def _xor_product(sums: list[dict], join=or_) -> dict:
@@ -242,10 +272,11 @@ def _stages(mask: int) -> list[int]:
 def _component_sum(
     masks: list[int], max_entries: int | None, layout: RegisterLayout
 ):
-    """One component's weight histogram, the number of entries in its part of
-    the signed sum, and a function of no arguments that builds that part as
-    a new dict, from the engine its shape picks: the fold, or the truth
-    table (see `_dense_sum`).  With max_entries None, no cap is checked."""
+    """One component's biases (see `_biases`), the number of entries in its
+    part of the signed sum, and two functions of no arguments, one building
+    its weight histogram, the other that part, each as a new dict, from the
+    engine its shape picks: the fold, or the truth table (see `_dense_sum`).
+    With max_entries None, no cap is checked."""
     support = 0
     for mask in masks:
         support |= mask
@@ -256,7 +287,12 @@ def _component_sum(
     if k <= _DENSE_MAX_SUPPORT and n >= k and n << k > _FOLD_MAX_STEPS:
         return _dense_sum(masks, support, max_entries, layout)
     entries = _fold_sum(masks, max_entries)
-    return _weights(entries, layout), len(entries), entries.copy
+    return (
+        _biases(_touch_sums(entries, support, layout), k),
+        len(entries),
+        partial(_weights, entries, layout),
+        entries.copy,
+    )
 
 
 def _weights(
@@ -268,6 +304,112 @@ def _weights(
         key = layout.weights(mask)
         weights[key] = weights.get(key, 0) + coeff
     return {key: c for key, c in weights.items() if c}
+
+
+def _touch_sums(
+    entries: dict[int, int], support: int, layout: RegisterLayout
+) -> dict[int, int]:
+    """The touch sums (see `_biases`) of a signed sum over the stages of
+    support, one entry at a time."""
+    k = support.bit_count()
+    # the registers the support reaches, each as its bit and its stages
+    spans = [
+        (1 << r, span)
+        for r, reg in enumerate(layout.registers)
+        if (span := ((1 << reg.length) - 1) << reg.offset) & support
+    ]
+    sums: dict[int, int] = {}
+    for mask, coeff in entries.items():
+        touched = 0
+        for bit, span in spans:
+            if mask & span:
+                touched |= bit
+        sums[touched] = sums.get(touched, 0) + (coeff << (k - mask.bit_count()))
+    return sums
+
+
+def _biases(sums: dict[int, int], k: int) -> dict[int, int]:
+    """The biases of a signed sum over k stages, from its touch sums.
+
+    The touch sum at a set T of registers, kept as a bitmask, is the sum of
+    W(d) * 2**(k - |d|) over the weight tuples d of the sum's histogram W
+    whose nonzero weights lie exactly on T.  Hold the registers of a set z
+    at 0 and draw the other stages at random: a minterm of |d| stages that
+    misses z is then 1 with probability 2**-|d|, so the function g the sum
+    describes is 1 with probability V(z), the sum of the touch sums over the
+    T that miss z, over 2**k.  The bias of g there, the mean of (-1)**g, is
+    1 - 2*V(z); times 2**k, it is the sum of biases[T] over the T that miss
+    z, with biases[T] = -2 * sums[T] and 2**k added at T = 0.  A sum with
+    no zero mask has no touch sum at T = 0.
+    """
+    biases = {touched: -2 * s for touched, s in sums.items()}
+    biases[0] = (1 << k) + biases.get(0, 0)
+    return biases
+
+
+def _bias_product(biases: list[dict[int, int]]) -> dict[int, int]:
+    """The biases of the XOR of variable-disjoint components, from theirs.
+
+    With registers z zeroed, disjoint components are independent, so the
+    bias of their XOR is the product of theirs (the piling-up lemma,
+    Matsui, EUROCRYPT '93).  Expanded over the sets each misses, the
+    product carries each pair of biases onto the union of their sets, and
+    its scale is the product of the scales: 2**k over all k support stages.
+    No pair is costlier than the pair of entries it stands for, so the
+    product takes at most prod(1 + e_i) steps for component sums of e_i
+    entries.
+    """
+    product, *others = biases or [{0: 1}]
+    for other in others:
+        step: dict[int, int] = {}
+        for t, x in product.items():
+            for u, y in other.items():
+                step[t | u] = step.get(t | u, 0) + x * y
+        product = step
+    return product
+
+
+def _ones(biases: dict[int, int], k: int, layout: RegisterLayout) -> int:
+    """Ones count per joint period of a signed sum over k stages, from its
+    biases (see `_biases`); the lengths must be pairwise coprime.
+
+    Register r of n_r stages runs through its 2**n_r - 1 nonzero states,
+    and a state drawn from all 2**n_r of them is nonzero unless it is 0.  So
+    by inclusion and exclusion over the registers z held at 0, the count is
+    the sum over z of (-1)**|z| * 2**(sum of n_r, r not in z) * V(z), with
+    V = (1 - B) / 2.  Its 1 sums to the period; a bias at T sums to F(T),
+    the product of 2**n_r over the registers in T and 2**n_r - 1 over the
+    rest, since only the z that miss T see it.  So 2**(k + 1) times the
+    count is 2**k * period less the sum of bias[T] * F(T).
+    """
+    period = layout.period()
+    if biases.get(0, 1 << k) != 1 << k:
+        raise InternalCheckError("zero mask in a final signed sum")
+    # each register's bit, length and factor outside T
+    registers = [
+        (1 << r, reg.length, (1 << reg.length) - 1)
+        for r, reg in enumerate(layout.registers)
+    ]
+    total = 0
+    for touched, bias in biases.items():
+        shift = 0
+        for bit, n, whole in registers:
+            if touched & bit:
+                shift += n
+            else:
+                bias *= whole
+        total += bias << shift
+    ones, rest = divmod((period << k) - total, 2 << k)
+    if rest:
+        raise InternalCheckError(
+            f"ones count is {rest} / 2**{k + 1} off a whole number;"
+            " signed sum is inconsistent"
+        )
+    if not 0 <= ones <= period:
+        raise InternalCheckError(
+            f"ones count {ones} outside [0, {period}]; signed sum is inconsistent"
+        )
+    return ones
 
 
 def _check_cap(count: int, max_entries: int | None, bound: str = "") -> None:
@@ -316,19 +458,21 @@ def _fold_sum(masks: list[int], max_entries: int | None) -> dict[int, int]:
 def _dense_sum(
     masks: list[int], support: int, max_entries: int | None, layout: RegisterLayout
 ):
-    """The weight histogram, the count and the builder, as `_component_sum`
+    """The biases, the count and the two builders, as `_component_sum`
     returns them, of one component's part of the signed sum of `accumulate`,
     from its truth table over the support bits of masks.
 
-    The histogram comes from the packed truth table alone (see
-    `_table_weights`); the sum's cells need the integer transform (see
-    `_transform`).  Where max_entries can trip, the transform runs here:
-    the count of its nonzero cells is checked against the cap, and the
-    transformed array is kept for the builder, which lists its cells only
-    when the sum is read.  With max_entries None no cap can trip, the count
-    is None, and the transform waits for the builder, that is, for a caller
-    that reads the sum.  `accumulate` passes None wherever its bound on the
-    unions of f's terms fits the cap.
+    The histogram comes from the packed truth table alone, as an int64
+    array (see `_table_weights`), and the biases from that array (see
+    `_table_touch_sums`); the array becomes a dict only for the histogram's
+    builder.  The sum's cells need the integer transform (see `_transform`).
+    Where max_entries can trip, the transform runs here: the count of its
+    nonzero cells is checked against the cap, and the transformed array is
+    kept for the builder, which lists its cells only when the sum is read.
+    With max_entries None no cap can trip, the count is None, and the
+    transform waits for the builder, that is, for a caller that reads the
+    sum.  `accumulate` passes None wherever its bound on the unions of f's
+    terms fits the cap.
     """
     import numpy as np
 
@@ -340,13 +484,15 @@ def _dense_sum(
     ]
     bits = [b for span in sorted(spans, key=len, reverse=True) for b in span]
     table = _truth_table(masks, bits)
-    weights = _table_weights(table, bits, layout)
+    hist, radixes = _table_weights(table, bits, layout)
+    biases = _biases(_table_touch_sums(hist, radixes), len(bits))
+    weigh = partial(_weight_dict, hist, radixes)
     if max_entries is None:
-        return weights, None, partial(_cell_sum, bits, table)
+        return biases, None, weigh, partial(_cell_sum, bits, table)
     coeffs = _transform(table, len(bits))
     count = np.count_nonzero(coeffs)
     _check_cap(count, max_entries)
-    return weights, count, partial(_cell_sum, bits, table, coeffs)
+    return biases, count, weigh, partial(_cell_sum, bits, table, coeffs)
 
 
 def _transform(table, k: int):
@@ -412,9 +558,11 @@ def _cell_sum(bits: list[int], table, coeffs=None) -> dict[int, int]:
 
 
 def _table_weights(table, bits: list[int], layout: RegisterLayout):
-    """Weight histogram, weight tuple to summed coefficient, of the signed
-    sum whose truth table over the stages bits is the packed table, with no
-    integer transform.
+    """Weight histogram of the signed sum whose truth table over the stages
+    bits is the packed table, with no integer transform: a flat int64 array
+    of summed coefficients, indexed by the weight tuple read as a mixed-radix
+    number, the first register's digit fastest, and the radixes, k_r + 1 for
+    register r's k_r stages among bits.
 
     With z_i standing for stage i, the sum of c(S) * z**S over the masks S
     equals the sum of f(T) * prod(z_i, i in T) * prod(1 - z_i, i not in T)
@@ -470,9 +618,57 @@ def _table_weights(table, bits: list[int], layout: RegisterLayout):
     # to d_r and makes it the fastest, so after R passes the order is back
     for radix in reversed(radixes):
         hist = hist.reshape(radix, -1).T @ _binomial(radix - 1)
+    return hist.ravel(), radixes
+
+
+def _weight_dict(hist, radixes: list[int]) -> dict[tuple[int, ...], int]:
+    """The weight histogram array of `_table_weights` as a dict, weight
+    tuple to nonzero summed coefficient."""
+    import numpy as np
+
     keys = np.flatnonzero(hist)
-    digits = [(keys // place % radix).tolist() for place, radix in zip(places, radixes)]
-    return dict(zip(zip(*digits), hist.ravel()[keys].tolist()))
+    # the last register's digit is the slowest
+    digits = np.unravel_index(keys, radixes[::-1])
+    return dict(zip(zip(*[d.tolist() for d in digits[::-1]]), hist[keys].tolist()))
+
+
+def _table_touch_sums(hist, radixes: list[int]) -> dict[int, int]:
+    """The touch sums (see `_biases`) of the weight histogram array of
+    `_table_weights`, whose k support stages hold k_r = radixes[r] - 1
+    stages of register r.
+
+    One matrix pass per register, as for the binomials: a register with
+    k_r >= 1 maps its digit d to two cells, untouched and touched, with the
+    rows [2**k_r, 0] at d = 0 and [0, 2**(k_r - d)] past it, so the cell
+    of a set T of touched registers sums W(d) * 2**(k - |d|) over the d
+    whose nonzero weights lie on T.  A register with no support stage keeps
+    one cell.  Every value is an exact int64: the coefficient c(S) of a
+    mask of j stages is at most 2**(j - 1) in magnitude, so no partial sum
+    passes the sum over j of C(k, j) * 2**(j - 1) * 2**(k - j) = 2**(2k - 1),
+    2**47 at k = 24.
+    """
+    import numpy as np
+
+    for radix in reversed(radixes):
+        hist = hist.reshape(radix, -1).T @ _touch_matrix(radix - 1)
+    # bit i of a cell's index is the i-th register with support stages
+    reached = [1 << r for r, radix in enumerate(radixes) if radix > 1]
+    sums = hist.ravel()
+    cells = np.flatnonzero(sums)
+    touched = _bit_sums(cells, reached, np.int64).tolist()
+    return dict(zip(touched, sums[cells].tolist()))
+
+
+@lru_cache(maxsize=None)
+def _touch_matrix(k: int):
+    """The k + 1 by 2 int64 matrix of `_table_touch_sums` for a register
+    with k support stages, or the 1 by 1 identity for one with none."""
+    import numpy as np
+
+    if not k:
+        return np.ones((1, 1), dtype=np.int64)
+    rows = [[1 << k, 0]] + [[0, 1 << (k - d)] for d in range(1, k + 1)]
+    return np.array(rows, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -601,35 +797,24 @@ def exact_ones_multi(
 ) -> int:
     """Ones count per joint period of a signed sum, for one register or
     several, from its weight histogram: per-register weight tuple to summed
-    coefficient, as `accumulate` returns it.
+    coefficient, as the histogram builder of `accumulate` returns it.
 
     A minterm's register segments with weight d >= 1 contribute a factor
     2**(len - d); an all-zero segment means the register contributes no
     variable of its own, and the factor is its whole period 2**len - 1 (every
     nonzero state, zero state excluded).  Minterms with the same weights
     share a factor, so the count is the sum of each tuple's coefficient times
-    its factor.  Lengths must be pairwise coprime.
+    its factor.  It is worked out as `accumulate` works out its own: the
+    tuples are reduced to the histogram's touch sums and biases, over the
+    most stages a tuple holds, and read off by the same step (see `_ones`).
+    Lengths must be pairwise coprime.
     """
-    period = layout.period()
-    if weights.get((0,) * len(layout.registers)):
-        raise InternalCheckError("zero mask in a final signed sum")
-    # each register's length and its factor at weight 0
-    registers = [(reg.length, (1 << reg.length) - 1) for reg in layout.registers]
-    total = 0
+    k = max(map(sum, weights), default=0)
+    sums: dict[int, int] = {}
     for key, coeff in weights.items():
-        # the factors of the registers with d >= 1 make one power of two
-        shift = 0
-        for (n, whole), d in zip(registers, key):
-            if d:
-                shift += n - d
-            else:
-                coeff *= whole
-        total += coeff << shift
-    if not 0 <= total <= period:
-        raise InternalCheckError(
-            f"ones count {total} outside [0, {period}]; signed sum is inconsistent"
-        )
-    return total
+        touched = sum(1 << r for r, d in enumerate(key) if d)
+        sums[touched] = sums.get(touched, 0) + (coeff << (k - sum(key)))
+    return _ones(_biases(sums, k), k, layout)
 
 
 def minterm_expansion(f: AnfFunction) -> np.ndarray:
@@ -663,4 +848,5 @@ def minterm_expansion(f: AnfFunction) -> np.ndarray:
             f"minterm expansion has {count} minterms, above the"
             f" {DEFAULT_MAX_EXPANSION_TERMS} guard"
         )
-    return np.flatnonzero(_cells(table, length)).astype(np.int64, copy=False)
+    cells = _cells(table, length).view(bool)
+    return np.flatnonzero(cells).astype(np.int64, copy=False)

@@ -3,6 +3,7 @@
 import random
 import re
 import string
+import time
 
 import numpy as np
 import pytest
@@ -226,6 +227,25 @@ class TestAnfFunction:
         monomials = text.split(" ^ ")[::-1]
         scrambled = " ^ ".join("*".join(m.split("*")[::-1]) for m in monomials)
         assert parse_function(scrambled, layout).to_text() == text
+
+    def test_render_takes_linear_time_on_a_wide_layout(self):
+        # the same four variables over 1,250 and 10,000 stages, the last
+        # register of 27: eight times the width takes well under eight times
+        # as long, where testing every bit below the support's length would
+        # take up to 64 times
+        def best(width):
+            layout = RegisterLayout.from_lengths([("a", width - 27), ("b", 27)])
+            f = parse_function(f"a0*b1 ^ a5 ^ a{width - 28}*b26", layout)
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                text = f.to_text()
+                times.append(time.perf_counter() - start)
+            assert text == f"b26*a{width - 28} ^ b1*a0 ^ a5"
+            return min(times)
+
+        small, large = best(1250), best(10_000)
+        assert large < 6 * small
 
     def test_support_is_the_union_of_the_monomials(self):
         assert AnfFunction(RegisterLayout.single(4), frozenset()).support == 0

@@ -1100,7 +1100,7 @@ f = parse_function(text, RegisterLayout.single(11))
 ones = analyze(f).ones
 # only the dense engine has loaded numpy so far
 dense = "numpy" in sys.modules
-_, _, build = minterms._component_sum(masks, 100, f.layout)
+*_, build = minterms._component_sum(masks, 100, f.layout)
 print(json.dumps(
     {"ones": ones, "dense": dense, "truthtable": count_ones_truthtable(f),
      "sum": len(build())}
@@ -1170,6 +1170,6 @@ class TestColdStart:
             "ones": analyze(f).ones,
             "dense": True,
             "truthtable": lfsr.count_ones_truthtable(f),
-            "sum": len(minterms._component_sum(DENSE_MASKS, 100, f.layout)[2]()),
+            "sum": len(minterms._component_sum(DENSE_MASKS, 100, f.layout)[3]()),
         }
         assert fresh["ones"] == fresh["truthtable"] and fresh["sum"] == 0

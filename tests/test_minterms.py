@@ -65,20 +65,21 @@ def fold(masks):
 
 
 def summed(f, **kwargs):
-    """The signed sum `accumulate` leaves unbuilt, multiplied out, and its
-    weight histogram."""
-    weights, build_sum = accumulate(f, **kwargs)
-    return build_sum(), weights
+    """The signed sum and the weight histogram `accumulate` leaves unbuilt,
+    each built."""
+    _, build_weights, build_sum = accumulate(f, **kwargs)
+    return build_sum(), build_weights()
 
 
 def part_sum(result):
-    """The signed sum and weight histogram of one component, from the
-    (histogram, entry count, builder) `_component_sum` and `_dense_sum`
-    return; the count is the built sum's."""
-    weights, entries, build = result
+    """The signed sum and weight histogram of one component, each built,
+    from the (biases, entry count, histogram builder, sum builder)
+    `_component_sum` and `_dense_sum` return; the count is the built
+    sum's."""
+    _, entries, weigh, build = result
     part = build()
     assert len(part) == entries
-    return part, weights
+    return part, weigh()
 
 
 class TestCommonDevelopment:
@@ -134,8 +135,8 @@ class TestAccumulate:
     def test_geffe_weights(self):
         # one weight tuple per register of a(2) b(3) c(5)
         f = AnfFunction(geffe_layout(), frozenset({A0B0, B0C0, C0}))
-        weights, _ = accumulate(f)
-        assert weights == {(1, 1, 0): 1, (0, 0, 1): 1, (0, 1, 1): -1}
+        _, build_weights, _ = accumulate(f)
+        assert build_weights() == {(1, 1, 0): 1, (0, 0, 1): 1, (0, 1, 1): -1}
 
     def test_two_mask_intermediate(self):
         h, _ = summed(function_of([A0B0, B0C0], 10))
@@ -426,6 +427,43 @@ def partly_read_functions(draw):
     return AnfFunction(layout, frozenset(terms))
 
 
+@st.composite
+def mixed_designs(draw):
+    """A function over a coprime layout or one register of 8..20 stages
+    whose components mix the engines: a block of 6..12 stages with enough
+    masks for the dense engine, and 1..3 masks on each of one or more
+    blocks of the stages left."""
+    single = st.integers(8, 20).map(lambda n: (("m", n),))
+    shapes = [s for s in COPRIME_SHAPES if sum(n for _, n in s) >= 8]
+    layout = RegisterLayout.from_lengths(
+        draw(st.one_of(st.sampled_from(shapes), single))
+    )
+    stages = draw(st.permutations(range(layout.total_length)))
+    k = draw(st.integers(6, min(12, len(stages) - 1)))
+    least = max(k, (minterms._FOLD_MAX_STEPS >> k) + 1)
+    blocks = [(stages[:k], st.integers(least, min(2 * least, (1 << k) - 1)))]
+    stages = stages[k:]
+    while stages and (len(blocks) == 1 or draw(st.booleans())):
+        k = draw(st.integers(1, len(stages)))
+        blocks.append((stages[:k], st.integers(1, min(3, (1 << k) - 1))))
+        stages = stages[k:]
+    terms = set()
+    for block, counts in blocks:
+        k = len(block)
+        n = draw(counts)
+        picks = draw(st.sets(st.integers(1, (1 << k) - 1), min_size=n, max_size=n))
+        for pick in picks:
+            terms.add(sum(1 << block[j] for j in range(k) if pick >> j & 1))
+    f = AnfFunction(layout, frozenset(terms))
+    # the dense rule of `_component_sum`, on each component
+    dense = set()
+    for group in minterms._components(sorted(f.terms)):
+        k = support_of(group).bit_count()
+        dense.add(len(group) >= k and len(group) << k > minterms._FOLD_MAX_STEPS)
+    assume(dense == {False, True})
+    return f
+
+
 class TestEngines:
     """The dense engine and the fold compute the same final sum."""
 
@@ -540,7 +578,7 @@ class TestEngines:
 
         monkeypatch.setattr(minterms, "_butterfly", recording)
         layout = RegisterLayout.single(k)
-        _, count, build = minterms._dense_sum(
+        _, count, _, build = minterms._dense_sum(
             masks, support_of(masks), 1 << k, layout
         )
         expected = []
@@ -577,9 +615,9 @@ class TestEngines:
         # nonzero cells of the integer transform
         table, bits, layout = case
         cells = minterms._cell_sum(bits, table)
-        assert minterms._table_weights(table, bits, layout) == minterms._weights(
-            cells, layout
-        )
+        assert minterms._weight_dict(
+            *minterms._table_weights(table, bits, layout)
+        ) == minterms._weights(cells, layout)
 
     @settings(max_examples=300, deadline=None)
     @given(functions())
@@ -814,7 +852,7 @@ class TestFinalSumOnRead:
         assert report.__dict__["final_sum"] is final_sum
         assert report.final_sum is final_sum
         # a new build of the same function gives the same sum
-        _, build_sum = accumulate(MIXED)
+        _, _, build_sum = accumulate(MIXED)
         assert build_sum() == final_sum
 
     @pytest.mark.parametrize(
@@ -823,15 +861,17 @@ class TestFinalSumOnRead:
         ids=["mixed", "two-folded"],
     )
     def test_each_build_is_a_new_dict(self, f):
-        # the XOR product runs in place on the largest component's sum, so
-        # a builder that handed out a component's own dict would change it
-        _, build_sum = accumulate(f)
-        first = build_sum()
-        second = build_sum()
-        assert first == second and first is not second
-        expected = dict(second)
-        first.clear()
-        assert second == expected and build_sum() == expected
+        # the XOR product runs in place on the largest component's sum or
+        # histogram, so a builder that handed out a component's own dict
+        # would change it
+        _, *builders = accumulate(f)
+        for build in builders:
+            first = build()
+            second = build()
+            assert first == second and first is not second
+            expected = dict(second)
+            first.clear()
+            assert second == expected and build() == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(functions(), coprime_functions()))
@@ -841,6 +881,81 @@ class TestFinalSumOnRead:
         cap = 1 << f.layout.total_length
         assert report.final_sum == minterms._fold_sum(sorted(f.terms), cap)
         assert per_entry_ones(report.final_sum, f.layout) == report.ones
+
+
+class TestBiases:
+    """The count from each component's biases, one value per set of
+    registers its masks touch, multiplied across the components; it never
+    builds the weight histogram."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_designs())
+    @example(MIXED)
+    def test_count_is_the_histograms_and_the_truth_tables(self, f):
+        ones, build_weights, _ = accumulate(f)
+        assert ones == exact_ones_multi(build_weights(), f.layout)
+        assert ones == count_ones_truthtable(f)
+
+    def test_count_needs_no_histogram(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("histogram built")
+
+        for name in ("_add_weights", "_weights", "_weight_dict"):
+            monkeypatch.setattr(minterms, name, refuse)
+        # a dense component and two folded ones
+        report = analyze(MIXED)
+        assert report.ones == count_ones_truthtable(MIXED)
+        _, build_weights, _ = accumulate(MIXED)
+        with pytest.raises(AssertionError, match="histogram built"):
+            build_weights()
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_tables())
+    def test_touch_sums_are_exact(self, case):
+        # the int64 passes against Python ints over the histogram's dict
+        table, bits, layout = case
+        hist, radixes = minterms._table_weights(table, bits, layout)
+        expected: dict[int, int] = {}
+        for key, coeff in minterms._weight_dict(hist, radixes).items():
+            touched = sum(1 << r for r, d in enumerate(key) if d)
+            value = coeff << (len(bits) - sum(key))
+            expected[touched] = expected.get(touched, 0) + value
+        assert minterms._table_touch_sums(hist, radixes) == {
+            t: v for t, v in expected.items() if v
+        }
+
+    def test_widest_dense_component(self):
+        # the parity of the 24 stages of a(11) b(13) XOR their product: one
+        # dense component (k = 24, n = 25) whose coefficient on all 24
+        # stages is (-2)**23 + 1, the parity's and the product's, since the
+        # parity is 0 where the product is 1, and whose histogram reaches
+        # past 2**29.  The parity is 1 on the states of odd weight; the
+        # product adds the all-ones state, of weight 24
+        layout = RegisterLayout.from_lengths([("a", 11), ("b", 13)])
+        full = (1 << 24) - 1
+        f = AnfFunction(layout, frozenset([1 << i for i in range(24)] + [full]))
+        # the cap has room for every union, so no transform runs
+        ones, build_weights, _ = accumulate(f, max_entries=full)
+        odd_a, odd_b = 1 << 10, 1 << 12
+        assert ones == odd_a * (odd_b - 1) + (odd_a - 1) * odd_b + 1
+        weights = build_weights()
+        assert weights[11, 13] == (-2) ** 23 + 1
+        assert max(map(abs, weights.values())) > 1 << 29
+        assert exact_ones_multi(weights, layout) == ones
+        # the int64 touch sums against Python ints over the histogram: their
+        # terms W(d) * 2**(24 - |d|) pass 2**42, and cancel to 2**23
+        table = minterms._truth_table(sorted(f.terms), list(range(24)))
+        sums = minterms._table_touch_sums(
+            *minterms._table_weights(table, list(range(24)), layout)
+        )
+        expected: dict[int, int] = {}
+        terms = []
+        for key, coeff in weights.items():
+            touched = sum(1 << r for r, d in enumerate(key) if d)
+            terms.append(coeff << (24 - sum(key)))
+            expected[touched] = expected.get(touched, 0) + terms[-1]
+        assert max(map(abs, terms)) > 1 << 42
+        assert sums == expected == {1: 1 << 23, 2: 1 << 23, 3: (-2) ** 23 + 1}
 
 
 @st.composite
@@ -912,16 +1027,16 @@ class TestUnionBound:
                 minterms._xor_into(folded, {mask: 1})
                 assert len(folded) <= cap and folded.keys() <= found
             # the dense engine's part, checked against the cap as it is built
-            _, count, build = minterms._dense_sum(
+            _, count, _, build = minterms._dense_sum(
                 group, support_of(group), cap, f.layout
             )
             assert build() == folded and count == len(folded)
             product *= 1 + len(folded)
         assert product - 1 <= cap
-        weights, build_sum = accumulate(f, max_entries=cap)
+        _, build_weights, build_sum = accumulate(f, max_entries=cap)
         final_sum = build_sum()
         assert len(final_sum) == product - 1 and final_sum.keys() <= found
-        assert (final_sum, weights) == summed(f)
+        assert (final_sum, build_weights()) == summed(f)
 
     def test_bound_takes_linear_time_on_a_wide_layout(self):
         # a few thousand monomials of 1..4 stages over a 9,973-stage register:
