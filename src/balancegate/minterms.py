@@ -15,14 +15,15 @@ gives, so the count reads the combination's weight histogram, keyed by
 those tuples, not its entries (see `exact_ones_multi`).  The engine
 reduces each part to its biases: one value per set of registers its masks
 touch, from which the part's bias, the mean of (-1)**g with any set of
-registers held at 0, follows.  A dense part sums them over the histogram
-it reads off the popcounts of its packed truth table, a folded part over
-its own entries.  Parts on disjoint variables are independent, so their biases
-multiply (the piling-up lemma), and the count follows from the product by
-inclusion and exclusion over the registers held at 0 (see `_ones`).
-Neither the combined histogram nor the combination itself is multiplied
-out unless a caller asks for it, by the functions `accumulate` returns with
-the count, and a part's integer Moebius transform runs only for a caller
+registers held at 0, follows.  A dense part reads them off the popcounts
+of its packed truth table on the cells where each set of registers is 0,
+a folded part sums them over its own entries.  Parts on disjoint
+variables are independent, so their biases multiply (the piling-up lemma),
+and the count follows from the product by inclusion and exclusion over the
+registers held at 0 (see `_ones`).  Neither a histogram nor the
+combination is built unless a caller asks for it, by the functions
+`accumulate` returns with the count, and a part's integer Moebius
+transform runs only for a caller
 that reads the combination or where an entry cap could trip, that is,
 where the cap is below a bound on the number of unions of f's terms, the
 masks every sum is made of (see `_union_bound`).
@@ -95,7 +96,7 @@ def accumulate(
     histogram is left unbuilt the same way, each component's kept as its
     engine ended it, and each call of the second function combines them.
 
-    The count needs neither.  Each component reduces its histogram to its
+    The count needs neither.  Each component reduces its part to its
     biases, at most one value per set of registers its masks touch (see
     `_biases`), and the biases of disjoint components multiply, as in the
     piling-up lemma (see `_bias_product`); the count is read off the
@@ -125,8 +126,10 @@ def accumulate(
     The dense engine works from the truth table over the k support
     variables, packed 64 cells to a word, and runs when k <= 24 and n >= k,
     unless the fold's bound n * 2**k is at most 1536 entry-steps.  It reads
-    its histogram off the table's popcounts, as an int64 array, and its
-    biases off that array; the integer Moebius transform that gives its
+    its biases off the table's popcounts on the cells where each set of
+    registers is 0, at most 2**R of them for R registers, and builds its
+    histogram, from the popcounts of every weight class, only for a caller
+    of the second function.  The integer Moebius transform that gives its
     part of the sum (k * 2**k entry-steps) runs only where a cap check is
     made, or once the sum is read: a caller that reads only the count pays
     no transform where the bound clears the cap, and a reader of the sum
@@ -340,7 +343,9 @@ def _biases(sums: dict[int, int], k: int) -> dict[int, int]:
     T that miss z, over 2**k.  The bias of g there, the mean of (-1)**g, is
     1 - 2*V(z); times 2**k, it is the sum of biases[T] over the T that miss
     z, with biases[T] = -2 * sums[T] and 2**k added at T = 0.  A sum with
-    no zero mask has no touch sum at T = 0.
+    no zero mask has no touch sum at T = 0.  The fold's part and
+    `exact_ones_multi` come here; the dense engine reads the same biases off
+    its truth table, with no touch sum (see `_table_biases`).
     """
     biases = {touched: -2 * s for touched, s in sums.items()}
     biases[0] = (1 << k) + biases.get(0, 0)
@@ -462,10 +467,10 @@ def _dense_sum(
     returns them, of one component's part of the signed sum of `accumulate`,
     from its truth table over the support bits of masks.
 
-    The histogram comes from the packed truth table alone, as an int64
-    array (see `_table_weights`), and the biases from that array (see
-    `_table_touch_sums`); the array becomes a dict only for the histogram's
-    builder.  The sum's cells need the integer transform (see `_transform`).
+    The biases come from the packed truth table alone (see
+    `_table_biases`).  The histogram needs the popcounts of every weight
+    class (see `_table_weights`), so its builder counts them when called.
+    The sum's cells need the integer transform (see `_transform`).
     Where max_entries can trip, the transform runs here: the count of its
     nonzero cells is checked against the cap, and the transformed array is
     kept for the builder, which lists its cells only when the sum is read.
@@ -476,23 +481,32 @@ def _dense_sum(
     """
     import numpy as np
 
-    # the register with the most support stages takes the lowest index
-    # bits, so that a word's 64 cells fall into few weight classes
-    spans = [
-        _stages(support & ((1 << reg.length) - 1) << reg.offset)
-        for reg in layout.registers
-    ]
-    bits = [b for span in sorted(spans, key=len, reverse=True) for b in span]
+    bits = _dense_stages(support, layout)
     table = _truth_table(masks, bits)
-    hist, radixes = _table_weights(table, bits, layout)
-    biases = _biases(_table_touch_sums(hist, radixes), len(bits))
-    weigh = partial(_weight_dict, hist, radixes)
+    biases = _table_biases(table, bits, layout)
+
+    def weigh():
+        return _weight_dict(*_table_weights(table, bits, layout))
+
     if max_entries is None:
         return biases, None, weigh, partial(_cell_sum, bits, table)
     coeffs = _transform(table, len(bits))
     count = np.count_nonzero(coeffs)
     _check_cap(count, max_entries)
     return biases, count, weigh, partial(_cell_sum, bits, table, coeffs)
+
+
+def _dense_stages(support: int, layout: RegisterLayout) -> list[int]:
+    """The stages of support in the order the dense engine's table takes
+    them: grouped by register, as `_table_biases` needs, each register's in
+    ascending order, and the register with the most stages first, so that it
+    takes the lowest index bits: a word's 64 cells then fall into few weight
+    classes, and few registers share the bits within a word."""
+    spans = [
+        _stages(support & ((1 << reg.length) - 1) << reg.offset)
+        for reg in layout.registers
+    ]
+    return [b for span in sorted(spans, key=len, reverse=True) for b in span]
 
 
 def _transform(table, k: int):
@@ -582,6 +596,9 @@ def _table_weights(table, bits: list[int], layout: RegisterLayout):
     cells of its class, and the sum over t of C(k, t) * C(k - t, d - t) is
     C(k, d) * 2**d <= 3**k, so no entry of any binomial pass passes
     3**24 < 2**39 in magnitude.
+
+    Only the histogram's builder reads it; the count reads the table's
+    biases instead (see `_table_biases`).
     """
     import numpy as np
 
@@ -632,43 +649,87 @@ def _weight_dict(hist, radixes: list[int]) -> dict[tuple[int, ...], int]:
     return dict(zip(zip(*[d.tolist() for d in digits[::-1]]), hist[keys].tolist()))
 
 
-def _table_touch_sums(hist, radixes: list[int]) -> dict[int, int]:
-    """The touch sums (see `_biases`) of the weight histogram array of
-    `_table_weights`, whose k support stages hold k_r = radixes[r] - 1
-    stages of register r.
+def _table_biases(table, bits: list[int], layout: RegisterLayout) -> dict[int, int]:
+    """The biases (see `_biases`) of the signed sum whose truth table over
+    the stages bits, grouped by register, is the packed table, read off the
+    table's ones: no transform and no histogram.
 
-    One matrix pass per register, as for the binomials: a register with
-    k_r >= 1 maps its digit d to two cells, untouched and touched, with the
-    rows [2**k_r, 0] at d = 0 and [0, 2**(k_r - d)] past it, so the cell
-    of a set T of touched registers sums W(d) * 2**(k - |d|) over the d
-    whose nonzero weights lie on T.  A register with no support stage keeps
-    one cell.  Every value is an exact int64: the coefficient c(S) of a
-    mask of j stages is at most 2**(j - 1) in magnitude, so no partial sum
-    passes the sum over j of C(k, j) * 2**(j - 1) * 2**(k - j) = 2**(2k - 1),
-    2**47 at k = 24.
+    Hold the support stages of a set z of registers at 0 and draw the other
+    stages at random: g is then 1 with probability P(z) / 2**(k - k_z),
+    where P(z) counts the ones of the table on the cells that are 0 on z's
+    k_z stages.  That probability is V(z) of `_biases`, so the sum of
+    biases[T] over the T that miss z is 2**k - 2**(k_z + 1) * P(z), and a
+    subset Moebius pass over the registers the stages reach gives each
+    biases[T].  It equals what `_biases` makes of the histogram's touch
+    sums.  Per register, the histogram takes the ones of weight class t_r to
+    weight d_r by the binomial matrix of `_table_weights`, and the touch
+    sums take weight d_r to 2**k_r untouched at d_r = 0 and 2**(k_r - d_r)
+    touched past it; since the sum over j of (-1)**j * C(m, j) * 2**(m - j)
+    is 1, the product of the two maps takes t_r to [2**k_r, 1 - 2**k_r]
+    at t_r = 0 and to [0, 1] past it.  So the touch sums see the table's
+    ones only through which registers have no stage set.
+
+    A register's stages are a run of the cell index's bits: those below 6
+    pick cells within a word, the rest pick words.  So the words that are 0
+    on z's high bits are a basic slice of the table, viewed with one axis
+    per register, and an in-word mask keeps the cells that are 0 on z's low
+    bits.  P(z) is the popcount of the slice under the mask, in a Python
+    int, and so are the biases: no table size can overflow them.
     """
     import numpy as np
 
-    for radix in reversed(radixes):
-        hist = hist.reshape(radix, -1).T @ _touch_matrix(radix - 1)
-    # bit i of a cell's index is the i-th register with support stages
-    reached = [1 << r for r, radix in enumerate(radixes) if radix > 1]
-    sums = hist.ravel()
-    cells = np.flatnonzero(sums)
-    touched = _bit_sums(cells, reached, np.int64).tolist()
-    return dict(zip(touched, sums[cells].tolist()))
+    # the registers the stages reach, each as its bit and the indices j of
+    # its stages bits[j], in the order they come in bits
+    reached = []
+    for r, reg in enumerate(layout.registers):
+        own = [j for j, b in enumerate(bits) if reg.offset <= b < reg.offset + reg.length]
+        if own:
+            reached.append((own, 1 << r))
+    reached.sort()
+    # the first register's high bits are the fastest axis, so the last one.
+    # For each set z of held registers, by doubling, as `_bit_sums` builds
+    # its sums: the slice index, z's low bits, k_z and z's register bits
+    shape = []
+    holds = [((), 0, 0, 0)]
+    for own, bit in reached:
+        low = sum(1 << j for j in own if j < 6)
+        shape.insert(0, 1 << (len(own) - low.bit_count()))
+        holds = [
+            ((slice(None),) + index, held, k_z, touched)
+            for index, held, k_z, touched in holds
+        ] + [
+            ((0,) + index, held | low, k_z + len(own), touched | bit)
+            for index, held, k_z, touched in holds
+        ]
+    words = table.reshape(shape)
+    # each in-word mask is applied to the whole table once
+    masked = {0: words}
+    full = 1 << len(bits)
+    sums = []
+    for index, low, k_z, _ in holds:
+        if low not in masked:
+            masked[low] = words & np.uint64(_zero_cells(low))
+        ones = int.from_bytes(masked[low][index].tobytes(), "little").bit_count()
+        sums.append(full - (ones << (k_z + 1)))
+    # sums[a], for the set a of reached registers that are not held, is the
+    # sum of biases[T] over the T within a; the Moebius pass leaves biases[a]
+    sums.reverse()
+    for i in range(len(reached)):
+        for a in range(len(sums)):
+            if a >> i & 1:
+                sums[a] -= sums[a ^ 1 << i]
+    biases = {0: sums[0]}
+    for (*_, touched), bias in zip(holds[1:], sums[1:]):
+        if bias:
+            biases[touched] = bias
+    return biases
 
 
 @lru_cache(maxsize=None)
-def _touch_matrix(k: int):
-    """The k + 1 by 2 int64 matrix of `_table_touch_sums` for a register
-    with k support stages, or the 1 by 1 identity for one with none."""
-    import numpy as np
-
-    if not k:
-        return np.ones((1, 1), dtype=np.int64)
-    rows = [[1 << k, 0]] + [[0, 1 << (k - d)] for d in range(1, k + 1)]
-    return np.array(rows, dtype=np.int64)
+def _zero_cells(low: int) -> int:
+    """The 64-bit mask of the cells of a word whose index has no bit of
+    low set."""
+    return sum(1 << cell for cell in range(64) if not cell & low)
 
 
 @lru_cache(maxsize=None)

@@ -269,20 +269,24 @@ def butterfly_tables(draw):
 
 
 @st.composite
-def packed_tables(draw):
+def packed_tables(draw, grouped=False):
     """(table, bits, layout): the packed truth table of up to 40 masks, mask
     0 and duplicates included, over 1..14 support stages of a layout of 1..4
     registers of 1..8 stages, so that k < 6, words shared between registers
     and registers with fewer than 6 support stages are all common; the
-    stages in any order, or grouped by register as the dense engine takes
-    them."""
+    stages in any order, or grouped by register: ascending, or in the dense
+    engine's order.  With grouped, in one of the grouped orders only."""
     lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
     layout = RegisterLayout.from_lengths(zip("abcd", lengths))
     width = layout.total_length
     k = draw(st.integers(1, min(14, width)))
     bits = draw(st.permutations(range(width)))[:k]
-    if draw(st.booleans()):
+    orders = ["ascending", "dense"] if grouped else ["any", "ascending", "dense"]
+    order = draw(st.sampled_from(orders))
+    if order == "ascending":
         bits.sort()
+    elif order == "dense":
+        bits = minterms._dense_stages(sum(1 << b for b in bits), layout)
     picks = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=40))
     masks = [sum(1 << b for j, b in enumerate(bits) if pick >> j & 1) for pick in picks]
     return minterms._truth_table(masks, bits), bits, layout
@@ -883,6 +887,16 @@ class TestFinalSumOnRead:
         assert per_entry_ones(report.final_sum, f.layout) == report.ones
 
 
+def histogram_biases(weights: dict[tuple[int, ...], int], k: int) -> dict[int, int]:
+    """The biases of a weight histogram over k stages, from its nonzero
+    touch sums, worked out in Python ints one key at a time."""
+    sums: dict[int, int] = {}
+    for key, coeff in weights.items():
+        touched = sum(1 << r for r, d in enumerate(key) if d)
+        sums[touched] = sums.get(touched, 0) + (coeff << (k - sum(key)))
+    return minterms._biases({t: v for t, v in sums.items() if v}, k)
+
+
 class TestBiases:
     """The count from each component's biases, one value per set of
     registers its masks touch, multiplied across the components; it never
@@ -900,7 +914,14 @@ class TestBiases:
         def refuse(*args):
             raise AssertionError("histogram built")
 
-        for name in ("_add_weights", "_weights", "_weight_dict"):
+        for name in (
+            "_add_weights",
+            "_weights",
+            "_weight_dict",
+            "_table_weights",
+            "_binomial",
+            "_popcount",
+        ):
             monkeypatch.setattr(minterms, name, refuse)
         # a dense component and two folded ones
         report = analyze(MIXED)
@@ -910,19 +931,15 @@ class TestBiases:
             build_weights()
 
     @settings(max_examples=300, deadline=None)
-    @given(packed_tables())
-    def test_touch_sums_are_exact(self, case):
-        # the int64 passes against Python ints over the histogram's dict
+    @given(packed_tables(grouped=True))
+    def test_table_biases_are_the_histograms(self, case):
+        # read off the table at the register zero patterns, and summed in
+        # Python ints over the histogram the popcounts and binomials build
         table, bits, layout = case
-        hist, radixes = minterms._table_weights(table, bits, layout)
-        expected: dict[int, int] = {}
-        for key, coeff in minterms._weight_dict(hist, radixes).items():
-            touched = sum(1 << r for r, d in enumerate(key) if d)
-            value = coeff << (len(bits) - sum(key))
-            expected[touched] = expected.get(touched, 0) + value
-        assert minterms._table_touch_sums(hist, radixes) == {
-            t: v for t, v in expected.items() if v
-        }
+        assert minterms._table_biases(table, bits, layout) == histogram_biases(
+            minterms._weight_dict(*minterms._table_weights(table, bits, layout)),
+            len(bits),
+        )
 
     def test_widest_dense_component(self):
         # the parity of the 24 stages of a(11) b(13) XOR their product: one
@@ -942,20 +959,18 @@ class TestBiases:
         assert weights[11, 13] == (-2) ** 23 + 1
         assert max(map(abs, weights.values())) > 1 << 29
         assert exact_ones_multi(weights, layout) == ones
-        # the int64 touch sums against Python ints over the histogram: their
-        # terms W(d) * 2**(24 - |d|) pass 2**42, and cancel to 2**23
-        table = minterms._truth_table(sorted(f.terms), list(range(24)))
-        sums = minterms._table_touch_sums(
-            *minterms._table_weights(table, list(range(24)), layout)
-        )
-        expected: dict[int, int] = {}
-        terms = []
-        for key, coeff in weights.items():
-            touched = sum(1 << r for r, d in enumerate(key) if d)
-            terms.append(coeff << (24 - sum(key)))
-            expected[touched] = expected.get(touched, 0) + terms[-1]
+        # the biases read off the table against those of the histogram's
+        # touch sums, whose terms W(d) * 2**(24 - |d|) pass 2**42, and
+        # cancel to 2**23
+        terms = [coeff << (24 - sum(key)) for key, coeff in weights.items()]
         assert max(map(abs, terms)) > 1 << 42
-        assert sums == expected == {1: 1 << 23, 2: 1 << 23, 3: (-2) ** 23 + 1}
+        bits = minterms._dense_stages(full, layout)
+        table = minterms._truth_table(sorted(f.terms), bits)
+        biases = minterms._table_biases(table, bits, layout)
+        assert biases == histogram_biases(weights, 24)
+        assert biases == minterms._biases(
+            {1: 1 << 23, 2: 1 << 23, 3: (-2) ** 23 + 1}, 24
+        )
 
 
 @st.composite
